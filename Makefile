@@ -19,7 +19,7 @@ BENCH_GATE_THRESHOLD ?= 1.6
 COVER_MIN ?= 80
 COVER_PKGS = ./internal/core ./internal/check ./internal/canon ./internal/ccp ./internal/cluster ./internal/exec ./internal/plancache ./internal/retry ./internal/server ./internal/snapshot ./internal/telemetry
 
-.PHONY: ci fmt vet build test race stress bench-parallel bench-cache bench-serve bench-hotpath bench-enumerators bench-chaos bench-exec bench-cluster bench-gate bench-gate-soft profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
+.PHONY: ci fmt vet build test race stress bench bench-parallel bench-cache bench-serve bench-hotpath bench-enumerators bench-chaos bench-exec bench-cluster bench-gate bench-gate-soft profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
 
 ci: fmt vet build test race stress cover fuzz-smoke serve-smoke chaos-smoke cluster-smoke bench-gate-soft
 
@@ -30,8 +30,12 @@ fmt:
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# The benchmark is a module of its own (benchmark/go.mod), which the root
+# ./... patterns skip: vet and test it explicitly. -short skips its end-to-end
+# smoke run; `make bench` is the real thing.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 build:
 	$(GO) build ./...
@@ -40,6 +44,7 @@ build:
 # budget/cancellation machinery must fail the gate, not wedge it.
 test:
 	$(GO) test -timeout 300s ./...
+	$(GO) -C benchmark test -short -timeout 300s ./...
 
 # The rank-layer parallel fill and the budget watcher are the concurrent
 # code in the module; exercise their cross-check tests with -race on every
@@ -96,6 +101,12 @@ cover:
 	done; \
 	rm -f coverage.out; \
 	exit $$status
+
+# The end-to-end blitzd benchmark declared in BENCHMARK.json (see
+# benchmark/README.md): all four workloads, end to end and traced. Pass
+# flags through BENCH_ARGS, e.g. BENCH_ARGS="--workload execute --trace 0".
+bench:
+	bash benchmark/run.sh $(BENCH_ARGS)
 
 # Regenerate the numbers behind BENCH_parallel.json (see EXPERIMENTS.md).
 bench-parallel:

@@ -6,7 +6,6 @@ import (
 
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/engine"
-	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/plan"
 )
 
@@ -116,16 +115,12 @@ func (o AdaptiveOptions) minRows() int64 {
 // events, never fatal. With a nil aopts.Reoptimize this is Run with a
 // different schedule and identical results.
 func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, aopts AdaptiveOptions) (*Result, error) {
-	x, err := newExecutor(inst, opts)
+	x, err := newExecutor(inst, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := validatePlan(p); err != nil {
-		return nil, err
-	}
-	faultinject.Inject(faultinject.ExecRun)
 	start := time.Now()
-	d := &driver{x: x, aopts: aopts, avail: make(map[bitset.Set]*Table)}
+	d := &driver{x: x, aopts: aopts, avail: make(map[bitset.Set]*table)}
 	cur := p
 	reopts := 0
 	for d.avail[cur.Set] == nil {
@@ -161,7 +156,7 @@ func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, aopts Adapti
 	}
 	root := d.avail[cur.Set]
 	x.finish(root, start)
-	return &Result{Rows: int64(root.rows), Table: root, Stats: x.stats, Plan: cur, Events: d.events}, nil
+	return &Result{Rows: int64(root.rows), Stats: x.stats, Plan: cur, Events: d.events}, nil
 }
 
 // driver is RunAdaptive's bookkeeping: the materialized-result map keyed by
@@ -169,13 +164,13 @@ func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, aopts Adapti
 type driver struct {
 	x      *executor
 	aopts  AdaptiveOptions
-	avail  map[bitset.Set]*Table
+	avail  map[bitset.Set]*table
 	events []ReoptEvent
 }
 
 // tableFor returns the materialized table for a ready node: a prior join
 // output from avail, or a (memoized) leaf scan.
-func (d *driver) tableFor(n *plan.Node) (*Table, error) {
+func (d *driver) tableFor(n *plan.Node) (*table, error) {
 	if t, ok := d.avail[n.Set]; ok {
 		return t, nil
 	}
@@ -190,7 +185,7 @@ func (d *driver) tableFor(n *plan.Node) (*Table, error) {
 // nextJoin finds the first (post-order, left-to-right) join node both of
 // whose children are ready — a leaf or an already-materialized set. Returns
 // nil when n itself is ready.
-func nextJoin(n *plan.Node, avail map[bitset.Set]*Table) *plan.Node {
+func nextJoin(n *plan.Node, avail map[bitset.Set]*table) *plan.Node {
 	if n.IsLeaf() || avail[n.Set] != nil {
 		return nil
 	}
@@ -206,7 +201,7 @@ func nextJoin(n *plan.Node, avail map[bitset.Set]*Table) *plan.Node {
 // maybeReopt applies the trigger rule to a just-executed join and, when it
 // fires, re-plans the remaining groups and splices. It returns the new tree
 // and true only when a replan actually landed.
-func (d *driver) maybeReopt(cur, j *plan.Node, out *Table, reopts int) (*plan.Node, bool) {
+func (d *driver) maybeReopt(cur, j *plan.Node, out *table, reopts int) (*plan.Node, bool) {
 	if d.aopts.Reoptimize == nil || reopts >= d.aopts.maxReopts() {
 		return nil, false
 	}

@@ -4,7 +4,9 @@
 // layer) but stores intermediate results column-major, joins with a presized
 // bucket-chained hash table probed in bounded batches, filters residual
 // predicates through selection vectors, and materializes output by gathering
-// match-index vectors — no per-row allocations, no string keys.
+// match-index vectors — no per-row allocations, no string keys. Each result
+// carries only its live join keys, the columns a predicate above it still
+// reads, so the root carries none and only its row count leaves.
 //
 // The package has two drivers. Run executes a plan statically. RunAdaptive
 // (adaptive.go) executes bottom-up while comparing observed intermediate
@@ -40,43 +42,34 @@ const DefaultBatchSize = 1024
 // applied when Options.MaxRows is zero.
 const defaultMaxRows = 10_000_000
 
-// ColID names a column of an intermediate result: the base relation it came
-// from plus the relation-local column name. Unlike the row engine's
-// "<rel>.<name>" strings, resolving a ColID allocates nothing.
-type ColID struct {
-	Rel  int
-	Name string
+// colID names a column of an intermediate result: the base relation it came
+// from plus the relation-local column name.
+type colID struct {
+	rel  int
+	name string
 }
 
-// Table is a column-major intermediate result. Leaf tables alias the
-// instance's relation columns (zero copy); join outputs own freshly gathered
-// columns.
-type Table struct {
-	ids  []ColID
+// table is a column-major intermediate result over one relation set. It
+// carries only the set's live columns (executor.live): its width is the
+// number of predicates still to apply above it, not the number of columns
+// below it. Scans alias the instance's relation columns (zero copy); join
+// outputs own freshly gathered columns.
+type table struct {
+	ids  []colID
 	cols [][]int64
-	idx  map[ColID]int
 	rows int
 }
 
-// Rows returns the tuple count.
-func (t *Table) Rows() int { return t.rows }
-
-// Column returns the values of the identified column and whether it exists.
-// The slice is the table's storage — callers must not mutate it.
-func (t *Table) Column(id ColID) ([]int64, bool) {
-	i, ok := t.idx[id]
-	if !ok {
-		return nil, false
+// column returns the identified column. A table holds a handful of live
+// columns, so a scan of its ids beats a per-table map. Callers ask only for
+// live columns, which every table carries.
+func (t *table) column(id colID) []int64 {
+	for i, c := range t.ids {
+		if c == id {
+			return t.cols[i]
+		}
 	}
-	return t.cols[i], true
-}
-
-func newTable(ids []ColID, cols [][]int64, rows int) *Table {
-	t := &Table{ids: ids, cols: cols, idx: make(map[ColID]int, len(ids)), rows: rows}
-	for i, id := range ids {
-		t.idx[id] = i
-	}
-	return t
+	return nil
 }
 
 // Options configures execution. The zero value matches the row engine's
@@ -145,9 +138,9 @@ type Stats struct {
 
 // Result is one finished execution.
 type Result struct {
-	// Rows is the final cardinality; Table the materialized result.
-	Rows  int64
-	Table *Table
+	// Rows is the final cardinality. Only the count leaves the executor: the
+	// root has no live columns, so nothing beyond its match count is built.
+	Rows int64
 	// Stats instruments the run. Plan is the tree actually executed — it
 	// differs from the input only when RunAdaptive replanned mid-query.
 	Stats Stats
@@ -163,66 +156,91 @@ type pred struct {
 }
 
 // edgePred is a graph edge with its join-column name resolved once per
-// execution, so per-node predicate resolution is a scan over E edges with no
-// string formatting — the vectorized analogue of the row engine's
-// predScratch.
+// execution, so per-node predicate and live-column resolution is a scan over
+// E edges with no string formatting — the vectorized analogue of the row
+// engine's predScratch.
 type edgePred struct {
 	a, b int
 	col  string
-	sel  float64
 }
 
 // executor carries one execution's scratch: resolved edges, the predicate
-// slice, hash and selection buffers, and match-index vectors, all reused
-// across join nodes.
+// slice, the hash table's slot heads and chains, hash and selection buffers,
+// and match-index vectors, all reused across join nodes.
 type executor struct {
 	inst    *engine.Instance
 	opts    Options
 	batch   int
 	maxRows int
-	edges   []edgePred
-	preds   []pred
-	hbuf    []uint64
-	sel     []int32
-	lidx    []int32
-	ridx    []int32
-	stats   Stats
+	// all is the executed plan's relation set; live columns are taken
+	// relative to it.
+	all   bitset.Set
+	edges []edgePred
+	preds []pred
+	// bkeys and pkeys are a hash join's key columns on its build and probe
+	// sides.
+	bkeys [][]int64
+	pkeys [][]int64
+	heads []int32
+	next  []int32
+	hbuf  []uint64
+	sel   []int32
+	lidx  []int32
+	ridx  []int32
+	stats Stats
 }
 
-func newExecutor(inst *engine.Instance, opts Options) (*executor, error) {
+// newExecutor validates the inputs and resolves the graph's edges for one
+// execution of p.
+func newExecutor(inst *engine.Instance, p *plan.Node, opts Options) (*executor, error) {
 	if inst == nil {
 		return nil, errors.New("exec: nil instance")
 	}
-	x := &executor{inst: inst, opts: opts, batch: opts.batchSize(), maxRows: opts.maxRows()}
+	if p == nil {
+		return nil, errors.New("exec: nil plan")
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	x := &executor{inst: inst, opts: opts, batch: opts.batchSize(), maxRows: opts.maxRows(), all: p.Set}
 	if g := inst.Graph; g != nil {
-		edges := g.Edges()
-		x.edges = make([]edgePred, len(edges))
-		for i, e := range edges {
-			x.edges[i] = edgePred{a: e.A, b: e.B, col: engine.JoinColumn(e.A, e.B), sel: e.Selectivity}
+		for _, e := range g.Edges() {
+			col := engine.JoinColumn(e.A, e.B)
+			// A predicate whose key column either relation lacks can never be
+			// applied (the row engine skips it too), so it is no edge here.
+			if !hasColumn(inst, e.A, col) || !hasColumn(inst, e.B, col) {
+				continue
+			}
+			x.edges = append(x.edges, edgePred{a: e.A, b: e.B, col: col})
 		}
 	}
+	faultinject.Inject(faultinject.ExecRun)
 	return x, nil
 }
 
-// Run executes a plan tree against the instance and returns the materialized
-// result. Execution is bottom-up and static; see RunAdaptive for the
+func hasColumn(inst *engine.Instance, rel int, name string) bool {
+	if rel >= len(inst.Relations) {
+		return false
+	}
+	_, ok := inst.Relations[rel].Cols[name]
+	return ok
+}
+
+// Run executes a plan tree against the instance and returns the result
+// cardinality. Execution is bottom-up and static; see RunAdaptive for the
 // re-optimizing driver.
 func Run(inst *engine.Instance, p *plan.Node, opts Options) (*Result, error) {
-	x, err := newExecutor(inst, opts)
+	x, err := newExecutor(inst, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := validatePlan(p); err != nil {
-		return nil, err
-	}
-	faultinject.Inject(faultinject.ExecRun)
 	start := time.Now()
 	t, err := x.node(p)
 	if err != nil {
 		return nil, err
 	}
 	x.finish(t, start)
-	return &Result{Rows: int64(t.rows), Table: t, Stats: x.stats, Plan: p}, nil
+	return &Result{Rows: int64(t.rows), Stats: x.stats, Plan: p}, nil
 }
 
 // Count is Run returning only the result cardinality.
@@ -234,17 +252,10 @@ func Count(inst *engine.Instance, p *plan.Node, opts Options) (int64, error) {
 	return r.Rows, nil
 }
 
-func validatePlan(p *plan.Node) error {
-	if p == nil {
-		return errors.New("exec: nil plan")
-	}
-	return p.Validate()
-}
-
 // finish closes the aggregate stats: total wall time, final cardinality, and
 // the intermediate-row sum (joins counted their outputs; the root's rows are
 // a result, not an intermediate).
-func (x *executor) finish(root *Table, start time.Time) {
+func (x *executor) finish(root *table, start time.Time) {
 	x.stats.Nanos = time.Since(start).Nanoseconds()
 	x.stats.Rows = int64(root.rows)
 	if x.stats.Joins > 0 {
@@ -253,7 +264,7 @@ func (x *executor) finish(root *Table, start time.Time) {
 }
 
 // node executes the subtree rooted at p.
-func (x *executor) node(p *plan.Node) (*Table, error) {
+func (x *executor) node(p *plan.Node) (*table, error) {
 	if p.IsLeaf() {
 		return x.scan(p)
 	}
@@ -268,59 +279,86 @@ func (x *executor) node(p *plan.Node) (*Table, error) {
 	return x.join(p, left, right)
 }
 
-// scan materializes a leaf as zero-copy views over the relation's columns.
-func (x *executor) scan(p *plan.Node) (*Table, error) {
+// live returns the columns a result over relation set s carries: the join
+// key of relation a for each predicate (a, b) with a in s and b in the plan
+// but not in s. Nothing else is read above s — every predicate with both
+// ends in s was applied below it, and one reaching outside the plan is never
+// applied — so the root carries no columns. The rule depends only on s and
+// the graph, so it holds for any tree over the same relations, spliced
+// adaptive plans included.
+func (x *executor) live(s bitset.Set) []colID {
+	rest := x.all &^ s
+	var ids []colID
+	for _, e := range x.edges {
+		switch {
+		case s.Has(e.a) && rest.Has(e.b):
+			ids = append(ids, colID{e.a, e.col})
+		case s.Has(e.b) && rest.Has(e.a):
+			ids = append(ids, colID{e.b, e.col})
+		}
+	}
+	return ids
+}
+
+// scan presents a leaf's live columns as zero-copy views over the relation.
+func (x *executor) scan(p *plan.Node) (*table, error) {
 	if p.Rel < 0 || p.Rel >= len(x.inst.Relations) {
 		return nil, fmt.Errorf("exec: plan references unknown relation %d", p.Rel)
 	}
 	start := time.Now()
 	rel := x.inst.Relations[p.Rel]
-	names := rel.ColNames()
-	ids := make([]ColID, len(names))
-	cols := make([][]int64, len(names))
-	for i, n := range names {
-		ids[i] = ColID{Rel: p.Rel, Name: n}
-		cols[i] = rel.Cols[n]
+	ids := x.live(p.Set)
+	cols := make([][]int64, len(ids))
+	for i, id := range ids {
+		cols[i] = rel.Cols[id.name]
 	}
-	t := newTable(ids, cols, rel.Rows())
-	x.record("scan", p, t, start)
+	t := &table{ids: ids, cols: cols, rows: rel.Rows()}
+	x.record("scan", p, t, start, 0)
 	return t, nil
 }
 
-// join executes one join node over already-materialized children.
-func (x *executor) join(p *plan.Node, left, right *Table) (*Table, error) {
-	start := time.Now()
+// join executes one join node over already-materialized children: the
+// operator fills the match-index vectors, then gather builds the output's
+// live columns from them.
+func (x *executor) join(p *plan.Node, left, right *table) (*table, error) {
+	start, batches := time.Now(), x.stats.Batches
 	preds := x.spanning(left, right, p.Left.Set, p.Right.Set)
 	alg := x.opts.Algorithm
 	if x.opts.UsePlanAlgorithms && p.Algorithm != "" {
 		alg = engine.AlgorithmByName(p.Algorithm)
 	}
+	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
 	var (
-		out  *Table
 		kind string
 		err  error
 	)
 	switch {
 	case len(preds) == 0 || alg == engine.NestedLoopsAlg:
-		kind = "nestedloops"
-		out, err = x.nestedLoops(left, right, preds)
+		kind, err = "nestedloops", x.nestedLoops(left, right, preds)
 	case alg == engine.SortMergeAlg:
-		kind = "sortmerge"
-		out, err = x.sortMerge(left, right, preds)
+		kind, err = "sortmerge", x.sortMerge(preds)
 	default:
-		kind = "hash"
-		out, err = x.hashJoin(left, right, preds)
+		kind, err = "hash", x.hashJoin(left, right, preds)
 	}
 	if err != nil {
 		return nil, err
 	}
+	out := x.gather(p, left, right)
 	x.stats.Joins++
 	x.stats.IntermediateRows += int64(out.rows)
-	x.record(kind, p, out, start)
+	x.record(kind, p, out, start, x.stats.Batches-batches)
 	return out, nil
 }
 
-func (x *executor) record(kind string, p *plan.Node, t *Table, start time.Time) {
+// testHookOutput, when set by a test, sees every scan and join output.
+var testHookOutput func(set bitset.Set, t *table)
+
+// record closes one operator: batches is its own probe-batch count, not the
+// running total.
+func (x *executor) record(kind string, p *plan.Node, t *table, start time.Time, batches int64) {
+	if testHookOutput != nil {
+		testHookOutput(p.Set, t)
+	}
 	if !x.opts.CollectOps {
 		return
 	}
@@ -329,30 +367,22 @@ func (x *executor) record(kind string, p *plan.Node, t *Table, start time.Time) 
 		Set:       p.Set,
 		Rows:      int64(t.rows),
 		Estimated: p.Card,
-		Batches:   x.stats.Batches,
+		Batches:   batches,
 		Nanos:     time.Since(start).Nanoseconds(),
 	})
 }
 
 // spanning resolves the predicates crossing the (left, right) relation sets
-// into column-vector pairs, reusing the executor's scratch slice. One pass
-// over the pre-resolved edge list — no graph walks, no name formatting.
-func (x *executor) spanning(left, right *Table, lset, rset bitset.Set) []pred {
+// into column-vector pairs, reusing the executor's scratch slice. A crossing
+// predicate's key columns are live in both children, so both are present.
+func (x *executor) spanning(left, right *table, lset, rset bitset.Set) []pred {
 	x.preds = x.preds[:0]
 	for _, e := range x.edges {
-		var lid, rid ColID
 		switch {
 		case lset.Has(e.a) && rset.Has(e.b):
-			lid, rid = ColID{e.a, e.col}, ColID{e.b, e.col}
+			x.preds = append(x.preds, pred{l: left.column(colID{e.a, e.col}), r: right.column(colID{e.b, e.col})})
 		case lset.Has(e.b) && rset.Has(e.a):
-			lid, rid = ColID{e.b, e.col}, ColID{e.a, e.col}
-		default:
-			continue
-		}
-		lc, lok := left.Column(lid)
-		rc, rok := right.Column(rid)
-		if lok && rok {
-			x.preds = append(x.preds, pred{l: lc, r: rc})
+			x.preds = append(x.preds, pred{l: left.column(colID{e.b, e.col}), r: right.column(colID{e.a, e.col})})
 		}
 	}
 	return x.preds
@@ -369,29 +399,34 @@ func (x *executor) appendPair(l, r int32) error {
 	return nil
 }
 
-// gather materializes the accumulated match-index vectors into a fresh
-// column-major table: every output column is one tight gather loop.
-func (x *executor) gather(left, right *Table) *Table {
+// gather materializes p's output from the accumulated match-index vectors:
+// one tight gather loop per live column of p.Set, drawn from whichever child
+// holds it.
+func (x *executor) gather(p *plan.Node, left, right *table) *table {
 	n := len(x.lidx)
-	ids := make([]ColID, 0, len(left.ids)+len(right.ids))
-	ids = append(ids, left.ids...)
-	ids = append(ids, right.ids...)
-	cols := make([][]int64, 0, len(ids))
-	for _, src := range left.cols {
-		dst := make([]int64, n)
-		for k, idx := range x.lidx {
-			dst[k] = src[idx]
+	ids := x.live(p.Set)
+	cols := make([][]int64, len(ids))
+	for i, id := range ids {
+		src, idx := right, x.ridx
+		if p.Left.Set.Has(id.rel) {
+			src, idx = left, x.lidx
 		}
-		cols = append(cols, dst)
-	}
-	for _, src := range right.cols {
+		vals := src.column(id)
 		dst := make([]int64, n)
-		for k, idx := range x.ridx {
-			dst[k] = src[idx]
+		for k, j := range idx {
+			dst[k] = vals[j]
 		}
-		cols = append(cols, dst)
+		cols[i] = dst
 	}
-	return newTable(ids, cols, n)
+	return &table{ids: ids, cols: cols, rows: n}
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // hashes computes one 64-bit hash per row of cols[lo:hi], column at a time,
@@ -401,11 +436,8 @@ func (x *executor) hashes(cols [][]int64, lo, hi int) []uint64 {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	n := hi - lo
-	if cap(x.hbuf) < n {
-		x.hbuf = make([]uint64, n)
-	}
-	h := x.hbuf[:n]
+	x.hbuf = resize(x.hbuf, hi-lo)
+	h := x.hbuf
 	for i := range h {
 		h[i] = offset64
 	}
@@ -421,24 +453,25 @@ func (x *executor) hashes(cols [][]int64, lo, hi int) []uint64 {
 
 // hashJoin builds a presized bucket-chained hash table on the smaller input
 // — slot heads plus an int32 next-chain, capacity the next power of two at
-// least twice the build cardinality — and probes the larger side in batches:
-// hash a batch column-at-a-time, walk chains, verify key equality on the raw
-// column vectors (collision safe), and emit match pairs.
-func (x *executor) hashJoin(left, right *Table, preds []pred) (*Table, error) {
+// least twice the build cardinality, both reused from the executor's
+// scratch — and probes the larger side in batches: hash a batch
+// column-at-a-time, walk chains, verify key equality on the raw column
+// vectors (collision safe), and emit match pairs.
+func (x *executor) hashJoin(left, right *table, preds []pred) error {
 	buildLeft := left.rows <= right.rows
-	bcols := make([][]int64, len(preds))
-	pcols := make([][]int64, len(preds))
-	for i, p := range preds {
-		if buildLeft {
-			bcols[i], pcols[i] = p.l, p.r
-		} else {
-			bcols[i], pcols[i] = p.r, p.l
-		}
-	}
 	build, probe := left, right
 	if !buildLeft {
 		build, probe = right, left
 	}
+	x.bkeys, x.pkeys = x.bkeys[:0], x.pkeys[:0]
+	for _, p := range preds {
+		if buildLeft {
+			x.bkeys, x.pkeys = append(x.bkeys, p.l), append(x.pkeys, p.r)
+		} else {
+			x.bkeys, x.pkeys = append(x.bkeys, p.r), append(x.pkeys, p.l)
+		}
+	}
+	bcols, pcols := x.bkeys, x.pkeys
 
 	n := build.rows
 	size := 1
@@ -446,11 +479,12 @@ func (x *executor) hashJoin(left, right *Table, preds []pred) (*Table, error) {
 		size <<= 1
 	}
 	mask := uint64(size - 1)
-	heads := make([]int32, size)
+	x.heads = resize(x.heads, size)
+	x.next = resize(x.next, n)
+	heads, next := x.heads, x.next
 	for i := range heads {
 		heads[i] = -1
 	}
-	next := make([]int32, n)
 	bh := x.hashes(bcols, 0, n)
 	for r := 0; r < n; r++ {
 		slot := bh[r] & mask
@@ -458,7 +492,6 @@ func (x *executor) hashJoin(left, right *Table, preds []pred) (*Table, error) {
 		heads[slot] = int32(r)
 	}
 
-	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
 	for base := 0; base < probe.rows; base += x.batch {
 		end := min(base+x.batch, probe.rows)
 		ph := x.hashes(pcols, base, end)
@@ -482,12 +515,12 @@ func (x *executor) hashJoin(left, right *Table, preds []pred) (*Table, error) {
 					err = x.appendPair(int32(r), idx)
 				}
 				if err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-	return x.gather(left, right), nil
+	return nil
 }
 
 // filterSel compacts the selection vector to the right-side rows whose
@@ -509,8 +542,7 @@ func (x *executor) filterSel(preds []pred, lrow int32) {
 // batch builds a selection vector from the first predicate and compacts it
 // through the rest, so residual filtering never materializes rejected rows.
 // With no predicates it is the Cartesian product.
-func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error) {
-	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
+func (x *executor) nestedLoops(left, right *table, preds []pred) error {
 	for l := 0; l < left.rows; l++ {
 		for base := 0; base < right.rows; base += x.batch {
 			end := min(base+x.batch, right.rows)
@@ -518,7 +550,7 @@ func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error)
 			if len(preds) == 0 {
 				for r := base; r < end; r++ {
 					if err := x.appendPair(int32(l), int32(r)); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				continue
@@ -534,12 +566,12 @@ func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error)
 			x.filterSel(preds[1:], int32(l))
 			for _, r := range x.sel {
 				if err := x.appendPair(int32(l), r); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-	return x.gather(left, right), nil
+	return nil
 }
 
 // argsort returns row indices of keys in ascending key order.
@@ -556,11 +588,10 @@ func argsort(keys []int64) []int32 {
 // permutations — the columns themselves never move) and merges equal-key
 // runs; residual predicates filter each run block through the selection
 // vector.
-func (x *executor) sortMerge(left, right *Table, preds []pred) (*Table, error) {
+func (x *executor) sortMerge(preds []pred) error {
 	p0 := preds[0]
 	lp := argsort(p0.l)
 	rp := argsort(p0.r)
-	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
 	i, j := 0, 0
 	for i < len(lp) && j < len(rp) {
 		lv, rv := p0.l[lp[i]], p0.r[rp[j]]
@@ -585,12 +616,12 @@ func (x *executor) sortMerge(left, right *Table, preds []pred) (*Table, error) {
 				x.filterSel(preds[1:], la)
 				for _, rb := range x.sel {
 					if err := x.appendPair(la, rb); err != nil {
-						return nil, err
+						return err
 					}
 				}
 			}
 			i, j = i2, j2
 		}
 	}
-	return x.gather(left, right), nil
+	return nil
 }

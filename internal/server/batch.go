@@ -75,18 +75,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBody)
-		return
-	}
 	var batch BatchRequest
-	if err := json.Unmarshal(body, &batch); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if code, err := s.readJSON(r, &batch); err != nil {
+		s.fail(w, code, "%v", err)
 		return
 	}
 	if len(batch.Queries) == 0 {

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blitzsplit"
 	"blitzsplit/internal/core"
-	"blitzsplit/internal/cost"
 	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/plan"
 )
@@ -207,35 +204,16 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeExecute mirrors decodeRequest for the execute body, adding the
-// execution-only validations (join algorithm name, max_rows sign).
+// decodeExecute mirrors decodeRequest for the execute body: the same body
+// limit and the shared validateRequest checks, plus the execution-only ones
+// (join algorithm name, max_rows sign).
 func (s *Server) decodeExecute(r *http.Request) (*ExecuteRequest, int, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if int64(len(body)) > s.cfg.MaxBody {
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBody)
-	}
 	var req ExecuteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)
+	if code, err := s.readJSON(r, &req); err != nil {
+		return nil, code, err
 	}
-	if err := req.File.Validate(); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if n := len(req.Relations); n > s.cfg.MaxRelations {
-		return nil, http.StatusUnprocessableEntity,
-			fmt.Errorf("%d relations exceeds the server limit of %d", n, s.cfg.MaxRelations)
-	}
-	if req.TimeoutMS < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("timeout_ms must be ≥ 0")
-	}
-	if req.Model != "" {
-		if _, err := cost.ByName(req.Model); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+	if code, err := s.validateRequest(&req.OptimizeRequest); err != nil {
+		return nil, code, err
 	}
 	switch req.Algorithm {
 	case "", "hash", "sortmerge", "sm", "nestedloops", "dnl", "naive":

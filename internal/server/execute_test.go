@@ -151,7 +151,7 @@ func TestExecuteAdaptive(t *testing.T) {
 // TestExecuteErrors: typed 422s for the execution guards, 400s for
 // malformed execution options, 503 under drain.
 func TestExecuteErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSynthRows: 3000})
+	s, ts := newTestServer(t, Config{MaxSynthRows: 3000, MaxRelations: 4})
 	decodeErr := func(b []byte) errorResponse {
 		var e errorResponse
 		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
@@ -194,6 +194,8 @@ func TestExecuteErrors(t *testing.T) {
 		{"negative max_rows", withOpts(chainBody(2, 100), `"max_rows":-1`), http.StatusBadRequest},
 		{"bad json", `{nope`, http.StatusBadRequest},
 		{"unknown model", withOpts(chainBody(2, 100), `"model":"bogus"`), http.StatusBadRequest},
+		{"too many relations", chainBody(5, 100), http.StatusUnprocessableEntity},
+		{"negative timeout", withOpts(chainBody(2, 100), `"timeout_ms":-1`), http.StatusBadRequest},
 	} {
 		code, b := postExecute(t, ts.URL, c.body)
 		if code != c.want {

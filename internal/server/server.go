@@ -554,22 +554,31 @@ func (s *Server) optimizeLocal(ctx context.Context, req *OptimizeRequest, q *bli
 // decodeRequest reads and validates the request body, classifying failures:
 // malformed or invalid JSON → 400, structurally valid but oversized → 422.
 func (s *Server) decodeRequest(r *http.Request) (*OptimizeRequest, int, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if int64(len(body)) > s.cfg.MaxBody {
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBody)
-	}
 	var req OptimizeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)
+	if code, err := s.readJSON(r, &req); err != nil {
+		return nil, code, err
 	}
 	if code, err := s.validateRequest(&req); err != nil {
 		return nil, code, err
 	}
 	return &req, 0, nil
+}
+
+// readJSON reads a body of at most MaxBody bytes (413 beyond) and decodes it
+// into v (400 when it is not valid JSON).
+func (s *Server) readJSON(r *http.Request, v any) (int, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	if int64(len(body)) > s.cfg.MaxBody {
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBody)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)
+	}
+	return 0, nil
 }
 
 // validateRequest applies the semantic checks shared by the single-request

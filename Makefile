@@ -17,7 +17,7 @@ BENCH_GATE_THRESHOLD ?= 1.6
 # Minimum statement coverage (percent) for the packages whose correctness
 # everything else leans on.
 COVER_MIN ?= 80
-COVER_PKGS = ./internal/core ./internal/check ./internal/canon ./internal/ccp ./internal/cluster ./internal/exec ./internal/plancache ./internal/retry ./internal/server ./internal/snapshot ./internal/telemetry
+COVER_PKGS = ./internal/core ./internal/check ./internal/canon ./internal/ccp ./internal/cluster ./internal/engine ./internal/exec ./internal/plancache ./internal/retry ./internal/server ./internal/snapshot ./internal/telemetry
 
 .PHONY: ci fmt vet build test race stress bench bench-parallel bench-cache bench-serve bench-hotpath bench-enumerators bench-chaos bench-exec bench-cluster bench-gate bench-gate-soft profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
 
@@ -76,9 +76,9 @@ stress:
 		./internal/exec/ ./internal/plan/ ./internal/check/ .
 
 # Run every native fuzz target for FUZZTIME each, starting from the
-# checked-in corpora under internal/check/testdata/fuzz/ and
-# internal/plancache/testdata/fuzz/. Go allows only one -fuzz pattern per
-# invocation, hence one run per target.
+# checked-in corpora under internal/check/testdata/fuzz/,
+# internal/engine/testdata/fuzz/ and internal/plancache/testdata/fuzz/. Go
+# allows only one -fuzz pattern per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
 	$(GO) test -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzEnumerators$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
 	$(GO) test -fuzz='^FuzzExecVectorized$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
 	$(GO) test -fuzz='^FuzzSnapshotLoad$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/plancache/
+	$(GO) test -fuzz='^FuzzSynthesizeDraw$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine/
 
 # Enforce the coverage floor on the optimizer core and the invariant
 # harness. A drop below COVER_MIN fails the build.

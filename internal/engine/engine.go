@@ -11,7 +11,11 @@
 // Rj, both relations carry a join column with values drawn uniformly from a
 // domain of size d = round(1/s). Under the paper's independence and
 // uniformity assumptions, |Ri ⨝ Rj| ≈ |Ri|·|Rj|/d = |Ri|·|Rj|·s, so measured
-// join sizes converge to the optimizer's estimates.
+// join sizes converge to the optimizer's estimates. Join keys are the only
+// columns: a relation no predicate touches has none, only a row count. Each
+// key column is drawn in one pass that computes Int63n's rejection bound once
+// per column, so its values, and the generator's position after it, are
+// exactly those of calling rand.Int63n once per value.
 package engine
 
 import (
@@ -90,7 +94,11 @@ type Instance struct {
 // nearest integer (minimum 0). The graph may be nil (no join columns).
 //
 // Each predicate (i, j, s) puts a column JoinColumn(i,j) on both relations,
-// with values uniform over a domain of size max(1, round(1/s)).
+// with values uniform over a domain of size round(1/s), at least 1 and at
+// most math.MaxInt64. The edges are drawn in graph order, relation i before
+// j, each value equal to what rand.Int63n would return at that point of the
+// seeded stream. There is no other column: a relation without predicates has
+// rows but no columns.
 func Synthesize(cards []float64, g *joingraph.Graph, seed int64) (*Instance, error) {
 	return SynthesizeRand(cards, g, rand.New(rand.NewSource(seed)))
 }
@@ -112,27 +120,16 @@ func SynthesizeRand(cards []float64, g *joingraph.Graph, rng *rand.Rand) (*Insta
 		if rows > maxRows {
 			return nil, fmt.Errorf("engine: relation %d with %d rows exceeds the %d-row synthesis limit", i, rows, maxRows)
 		}
-		rel := NewRelation(fmt.Sprintf("R%d", i), rows)
-		// A row-id column so every relation has at least one column.
-		ids := make([]int64, rows)
-		for r := range ids {
-			ids[r] = int64(r)
-		}
-		if err := rel.AddCol("id", ids); err != nil {
-			return nil, err
-		}
-		inst.Relations[i] = rel
+		inst.Relations[i] = NewRelation(fmt.Sprintf("R%d", i), rows)
 	}
 	if g != nil {
 		for _, e := range g.Edges() {
-			domain := int64(math.Max(1, math.Round(1/e.Selectivity)))
+			domain := keyDomain(e.Selectivity)
 			col := JoinColumn(e.A, e.B)
 			for _, ri := range []int{e.A, e.B} {
 				rel := inst.Relations[ri]
 				vals := make([]int64, rel.Rows())
-				for r := range vals {
-					vals[r] = rng.Int63n(domain)
-				}
+				fillInt63n(rng, vals, domain)
 				if err := rel.AddCol(col, vals); err != nil {
 					return nil, err
 				}
@@ -140,6 +137,38 @@ func SynthesizeRand(cards []float64, g *joingraph.Graph, rng *rand.Rand) (*Insta
 		}
 	}
 	return inst, nil
+}
+
+// keyDomain is the join-key domain of a predicate with selectivity s:
+// round(1/s), at least 1, clamped to math.MaxInt64 — below s = 2^-63 the
+// rounded inverse no longer fits an int64 (for a subnormal s it is +Inf).
+func keyDomain(s float64) int64 {
+	d := math.Round(1 / s)
+	if d >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(math.Max(1, d))
+}
+
+// fillInt63n fills dst with draws from [0, n), each equal to rng.Int63n(n)
+// at that point of the stream and consuming the same Int63 calls. It is
+// Int63n's body with the rejection bound (1<<63)%n, a 64-bit division,
+// hoisted out of the per-value loop. n must be positive.
+func fillInt63n(rng *rand.Rand, dst []int64, n int64) {
+	if n&(n-1) == 0 {
+		for i := range dst {
+			dst[i] = rng.Int63() & (n - 1)
+		}
+		return
+	}
+	bound := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	for i := range dst {
+		v := rng.Int63()
+		for v > bound {
+			v = rng.Int63()
+		}
+		dst[i] = v % n
+	}
 }
 
 // Batch is an intermediate result: a bag of tuples over a set of columns.

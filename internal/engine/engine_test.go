@@ -51,11 +51,11 @@ func TestSynthesizeShapes(t *testing.T) {
 	if inst.Relations[1].Rows() != 200 {
 		t.Errorf("R1 rows = %d", inst.Relations[1].Rows())
 	}
-	// R1 carries both join columns; R0 and R2 one each (plus id).
-	if len(inst.Relations[1].Cols) != 3 {
+	// R1 carries both join columns; R0 and R2 one each, and nothing else.
+	if len(inst.Relations[1].Cols) != 2 {
 		t.Errorf("R1 cols = %v", inst.Relations[1].ColNames())
 	}
-	if len(inst.Relations[0].Cols) != 2 {
+	if len(inst.Relations[0].Cols) != 1 {
 		t.Errorf("R0 cols = %v", inst.Relations[0].ColNames())
 	}
 	// Join-key domain honours the selectivity: sel 0.25 → domain 4.

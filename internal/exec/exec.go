@@ -456,7 +456,10 @@ func (x *executor) hashes(cols [][]int64, lo, hi int) []uint64 {
 // least twice the build cardinality, both reused from the executor's
 // scratch — and probes the larger side in batches: hash a batch
 // column-at-a-time, walk chains, verify key equality on the raw column
-// vectors (collision safe), and emit match pairs.
+// vectors (collision safe), and emit match pairs. A slot head holds its
+// chain's first row plus one, so 0 is empty and one clear empties the table;
+// next holds plain row indices, −1 ending a chain. The probe compares the
+// first key directly and looks at the others only when it matches.
 func (x *executor) hashJoin(left, right *table, preds []pred) error {
 	buildLeft := left.rows <= right.rows
 	build, probe := left, right
@@ -482,24 +485,27 @@ func (x *executor) hashJoin(left, right *table, preds []pred) error {
 	x.heads = resize(x.heads, size)
 	x.next = resize(x.next, n)
 	heads, next := x.heads, x.next
-	for i := range heads {
-		heads[i] = -1
-	}
+	clear(heads)
 	bh := x.hashes(bcols, 0, n)
 	for r := 0; r < n; r++ {
 		slot := bh[r] & mask
-		next[r] = heads[slot]
-		heads[slot] = int32(r)
+		next[r] = heads[slot] - 1
+		heads[slot] = int32(r + 1)
 	}
 
+	b0, p0 := bcols[0], pcols[0]
 	for base := 0; base < probe.rows; base += x.batch {
 		end := min(base+x.batch, probe.rows)
 		ph := x.hashes(pcols, base, end)
 		x.stats.Batches++
 		for r := base; r < end; r++ {
-			for idx := heads[ph[r-base]&mask]; idx >= 0; idx = next[idx] {
+			key := p0[r]
+			for idx := heads[ph[r-base]&mask] - 1; idx >= 0; idx = next[idx] {
+				if b0[idx] != key {
+					continue
+				}
 				match := true
-				for k := range bcols {
+				for k := 1; k < len(bcols); k++ {
 					if bcols[k][idx] != pcols[k][r] {
 						match = false
 						break

@@ -108,12 +108,18 @@ func TestBatchSizeInvariance(t *testing.T) {
 }
 
 // TestCartesianProduct executes a predicate-free plan (two disconnected
-// relations) and expects the full cross product under every algorithm.
+// relations, which therefore carry no columns at all) and expects the full
+// cross product under every algorithm and from the row engine.
 func TestCartesianProduct(t *testing.T) {
 	cards := []float64{30, 40}
 	inst, err := engine.Synthesize(cards, nil, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, rel := range inst.Relations {
+		if len(rel.Cols) != 0 {
+			t.Fatalf("R%d carries columns %v without any predicate", i, rel.ColNames())
+		}
 	}
 	p := &plan.Node{
 		Set:  bitset.Of(0, 1),
@@ -127,6 +133,88 @@ func TestCartesianProduct(t *testing.T) {
 		}
 		if got != 1200 {
 			t.Fatalf("%v: Cartesian product produced %d rows, want 1200", alg, got)
+		}
+		rows, err := inst.Count(p, engine.ExecOptions{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != 1200 {
+			t.Fatalf("%v: row engine's Cartesian product produced %d rows, want 1200", alg, rows)
+		}
+	}
+}
+
+// TestHashJoinSecondKey: on a triangle R0—R1—R2 planned as (R0 ⨝ R1) ⨝ R2,
+// the top join applies two predicates. Keys are drawn from a domain of 5 and
+// about half get 2^40 added. A key's hash slot depends only on its low bits,
+// so the table chains rows that agree on one key and differ from the probe
+// row in the other key's high bit only: a probe that checked one key would
+// count them. The hash join must count only pairs agreeing on both keys,
+// whichever side it builds on and however it batches.
+func TestHashJoinSecondKey(t *testing.T) {
+	const high = 1 << 40
+	for _, c2 := range []float64{40, 400} { // R2 builds, then (R0 ⨝ R1) builds
+		cards := []float64{30, 30, c2}
+		g := joingraph.New(3)
+		g.MustAddEdge(0, 1, 0.2)
+		g.MustAddEdge(0, 2, 0.2)
+		g.MustAddEdge(1, 2, 0.2)
+		inst, err := engine.Synthesize(cards, g, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c2)))
+		key := func(rel, a, b int) []int64 {
+			vals := inst.Relations[rel].Cols[engine.JoinColumn(a, b)]
+			for i := range vals {
+				vals[i] += high * rng.Int63n(2)
+			}
+			return vals
+		}
+		k01a, k01b := key(0, 0, 1), key(1, 0, 1)
+		k02a, k02b := key(0, 0, 2), key(2, 0, 2)
+		k12a, k12b := key(1, 1, 2), key(2, 1, 2)
+		// Brute force over all triples, also counting the near misses: pairs
+		// agreeing on one top-join key and on the other's low bits only.
+		var want, miss02, miss12 int64
+		for i := range k01a {
+			for j := range k01b {
+				if k01a[i] != k01b[j] {
+					continue
+				}
+				for k := range k02b {
+					m02, m12 := k02a[i] == k02b[k], k12a[j] == k12b[k]
+					low02, low12 := k02a[i]%high == k02b[k]%high, k12a[j]%high == k12b[k]%high
+					switch {
+					case m02 && m12:
+						want++
+					case m02 && low12:
+						miss12++
+					case m12 && low02:
+						miss02++
+					}
+				}
+			}
+		}
+		if miss02 == 0 || miss12 == 0 {
+			t.Fatalf("R2=%v: degenerate case: %d rows, near misses %d on (0,2), %d on (1,2)", c2, want, miss02, miss12)
+		}
+		p := &plan.Node{
+			Set:   bitset.Of(0, 1, 2),
+			Left:  &plan.Node{Set: bitset.Of(0, 1), Left: plan.Leaf(0, cards[0]), Right: plan.Leaf(1, cards[1])},
+			Right: plan.Leaf(2, cards[2]),
+		}
+		for _, bs := range []int{0, 7} {
+			got, err := Count(inst, p, Options{Algorithm: engine.HashJoinAlg, BatchSize: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("R2=%v batch %d: hash join counted %d rows, want %d", c2, bs, got, want)
+			}
+		}
+		if rows, err := inst.Count(p, engine.ExecOptions{}); err != nil || int64(rows) != want {
+			t.Fatalf("R2=%v: row engine counted %d rows (%v), want %d", c2, rows, err, want)
 		}
 	}
 }
@@ -390,11 +478,10 @@ func TestNilAndInvalidInputs(t *testing.T) {
 	}
 }
 
-// kfkChain synthesizes a key–foreign-key chain R0—R1—…—Rn−1 with 8k–12k
-// rows per relation and every edge's selectivity 1/max(card), so no join
-// result outgrows its inputs.
-func kfkChain(t *testing.T, n int) (*engine.Instance, *plan.Node) {
-	t.Helper()
+// kfkShape is a key–foreign-key chain R0—R1—…—Rn−1 with 8k–12k rows per
+// relation and every edge's selectivity 1/max(card), so no join result
+// outgrows its inputs.
+func kfkShape(n int) ([]float64, *joingraph.Graph) {
 	cards := make([]float64, n)
 	for i := range cards {
 		cards[i] = float64(8000 + 1000*(i%5))
@@ -403,6 +490,13 @@ func kfkChain(t *testing.T, n int) (*engine.Instance, *plan.Node) {
 	for j := 1; j < n; j++ {
 		g.MustAddEdge(j-1, j, 1/max(cards[j-1], cards[j]))
 	}
+	return cards, g
+}
+
+// kfkChain synthesizes kfkShape(n) and plans it.
+func kfkChain(t *testing.T, n int) (*engine.Instance, *plan.Node) {
+	t.Helper()
+	cards, g := kfkShape(n)
 	inst, err := engine.Synthesize(cards, g, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -511,27 +605,53 @@ func TestLiveColumns(t *testing.T) {
 	}
 }
 
+// allocBytes returns the bytes one call of fn allocates, averaged over runs
+// calls after a warm-up call.
+func allocBytes(t *testing.T, runs int, fn func() error) (bytes, objects uint64) {
+	t.Helper()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs), (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestSynthesizeAllocBytes gates the bytes one engine.Synthesize allocates
+// for the 10-relation key–foreign-key chain: its join keys, about 1.4 MB.
+// A row-id column on every relation took another 0.8 MB (2.3 MB in all).
+func TestSynthesizeAllocBytes(t *testing.T) {
+	cards, g := kfkShape(10)
+	const limit = 1_600_000
+	got, objects := allocBytes(t, 5, func() error {
+		_, err := engine.Synthesize(cards, g, 42)
+		return err
+	})
+	if got > limit {
+		t.Fatalf("Synthesize allocates %d bytes per call, limit %d", got, limit)
+	}
+	t.Logf("Synthesize allocates %d bytes and %d objects per call", got, objects)
+}
+
 // TestRunAllocBytes gates the bytes one Run allocates on a fixed 10-relation
 // key–foreign-key chain. Gathering every column of every relation below each
 // join took 8.8 MB here; carrying only live join keys takes 1.2 MB.
 func TestRunAllocBytes(t *testing.T) {
 	inst, p := kfkChain(t, 10)
-	if _, err := Run(inst, p, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	const runs, limit = 5, 2_500_000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := Run(inst, p, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	const limit = 2_500_000
+	got, objects := allocBytes(t, 5, func() error {
+		_, err := Run(inst, p, Options{})
+		return err
+	})
 	if got > limit {
 		t.Fatalf("Run allocates %d bytes per call, limit %d", got, limit)
 	}
-	t.Logf("Run allocates %d bytes and %d objects per call", got, (after.Mallocs-before.Mallocs)/runs)
+	t.Logf("Run allocates %d bytes and %d objects per call", got, objects)
 }

@@ -148,6 +148,27 @@ func TestExecuteAdaptive(t *testing.T) {
 	}
 }
 
+// TestExecuteTinySelectivity: a valid selectivity below 2^-63, whose key
+// domain round(1/s) overflows an int64, executes over the clamped domain
+// and answers 200 instead of panicking in data synthesis.
+func TestExecuteTinySelectivity(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, sel := range []string{"1e-19", "1e-20", "5e-324"} {
+		body := `{"relations":[{"name":"A","cardinality":300},{"name":"B","cardinality":200}],` +
+			`"joins":[{"a":"A","b":"B","selectivity":` + sel + `}],"seed":4}`
+		code, b := postExecute(t, ts.URL, body)
+		if code != http.StatusOK {
+			t.Fatalf("selectivity %s: status = %d: %s", sel, code, b)
+		}
+		if r := decodeExecuteResponse(t, b); r.Exec.Joins != 1 || r.Rows < 0 || r.Rows > 300*200 {
+			t.Errorf("selectivity %s: degenerate execution %+v", sel, r)
+		}
+	}
+	if got := s.HandlerPanics(); got != 0 {
+		t.Errorf("handler panics = %d, want 0", got)
+	}
+}
+
 // TestExecuteErrors: typed 422s for the execution guards, 400s for
 // malformed execution options, 503 under drain.
 func TestExecuteErrors(t *testing.T) {

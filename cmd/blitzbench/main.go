@@ -38,7 +38,7 @@
 //	-chaos-json p   write the -exp chaos artifact (BENCH_chaos.json) to p
 //	-exec-json p    write the -exp exec artifact (BENCH_exec.json) to p
 //	-cluster-json p write the -exp cluster artifact (BENCH_cluster.json) to p
-//	-enum-frontier  include the -exp enumerators large points (n=25 clique, n=40 tree; slow)
+//	-enum-frontier  include the -exp enumerators n=25 clique point (slow)
 //	-gate p         gate -exp hotpath against the artifact at p; regressions exit 1
 //	-gate-threshold f  allowed ns/op ratio over the gate baseline (default 1.6)
 //	-cpuprofile p   write a CPU profile of the run to p (go tool pprof)
@@ -97,7 +97,7 @@ func runMain(args []string, out, errOut io.Writer) int {
 	serveJSON := fs.String("serve-json", "", "write the -exp serve measurement artifact to this path")
 	hotpathJSON := fs.String("hotpath-json", "", "write the -exp hotpath measurement artifact to this path")
 	enumJSON := fs.String("enum-json", "", "write the -exp enumerators measurement artifact to this path")
-	enumFrontier := fs.Bool("enum-frontier", false, "include the -exp enumerators large points (n=25 clique dense, n=40 tree sparse; slow)")
+	enumFrontier := fs.Bool("enum-frontier", false, "include the -exp enumerators n=25 clique point (~8.5e11 split iterations; slow)")
 	chaosJSON := fs.String("chaos-json", "", "write the -exp chaos measurement artifact to this path")
 	execJSON := fs.String("exec-json", "", "write the -exp exec measurement artifact to this path")
 	clusterJSON := fs.String("cluster-json", "", "write the -exp cluster measurement artifact to this path")

@@ -41,10 +41,6 @@ type ExecuteOptions struct {
 	BatchSize int
 	// CollectOps records a per-operator breakdown in ExecuteResult.Exec.Ops.
 	CollectOps bool
-	// RowEngine executes on the row-at-a-time engine instead of the
-	// vectorized runtime — the differential baseline, also useful for
-	// benchmarking one against the other.
-	RowEngine bool
 	// Adaptive enables mid-query re-optimization: after each join, observed
 	// cardinality is compared against the estimate, and on deviation beyond
 	// ReoptRatio the remaining relations are re-planned through this Engine
@@ -145,22 +141,6 @@ func (e *Engine) executePlan(ctx context.Context, q *Query, db *Database, res *R
 			er, err = nil, e.recordPanic(v, key)
 		}
 	}()
-	if eo.RowEngine {
-		rows, err := db.Count(res.Plan, engine.ExecOptions{
-			Algorithm:         alg,
-			UsePlanAlgorithms: eo.UsePlanAlgorithms,
-			MaxRows:           eo.MaxRows,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &ExecuteResult{
-			Result:       res,
-			Rows:         int64(rows),
-			Exec:         ExecStats{Rows: int64(rows)},
-			ExecutedPlan: res.Plan,
-		}, nil
-	}
 	xopts := exec.Options{
 		Algorithm:         alg,
 		UsePlanAlgorithms: eo.UsePlanAlgorithms,

@@ -64,9 +64,8 @@ type Config struct {
 	// its BENCH_enumerators.json measurement artifact.
 	EnumJSON string
 	// EnumFrontier includes the enumerators experiment's large acceptance
-	// points — the n = 25 clique under dense CCP (~10^11 split iterations)
-	// and the n = 40 balanced tree on the sparse index — which cost the
-	// better part of an hour on one core and are skipped (and recorded as
+	// point — the n = 25 clique under CCP, about 8.5·10^11 split iterations
+	// or a couple of hours on one core — which is skipped (and recorded as
 	// skipped) by default.
 	EnumFrontier bool
 	// ChaosJSON, when nonempty, is where the chaos experiment writes its

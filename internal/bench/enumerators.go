@@ -2,14 +2,12 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"time"
 
-	"blitzsplit/internal/ccp"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/harness"
@@ -24,16 +22,13 @@ type EnumRow struct {
 	Topology string `json:"topology"`
 	N        int    `json:"n"`
 	// Enumerator is the exact fill strategy: "blitz" (the paper's 3^n split
-	// scan), "ccp" (the dense csg–cmp fill over the same 2^n table), or
-	// "ccp-sparse" (the connected-subset index for n past the dense cap).
+	// scan) or "ccp" (the csg–cmp fill over the same 2^n table).
 	Enumerator string  `json:"enumerator"`
 	Seconds    float64 `json:"seconds,omitempty"`
 	// LoopIters is the split-loop iteration count — the hardware-independent
 	// work measure: 3^n − 2^(n+1) + 1 for blitz, 2·(csg–cmp pairs) for CCP.
 	LoopIters uint64  `json:"loop_iters,omitempty"`
 	Cost      float64 `json:"cost,omitempty"`
-	// Sets is the connected-subset index size (sparse rows only).
-	Sets int `json:"sets,omitempty"`
 	// SpeedupVsBlitz is wall-clock blitz/ccp at the same (topology, n),
 	// present only where both were measured.
 	SpeedupVsBlitz float64 `json:"speedup_vs_blitz,omitempty"`
@@ -63,44 +58,31 @@ func enumTopologies() []enumTopo {
 // the speedup ratio is a direct wall-clock measurement.
 var enumQuickNs = []int{10, 14, 18}
 
-// enumSparseNs is the sparse sweep past the quick grid; the dense 2^n table
-// caps at bitset.MaxRelations = 30, so n = 40 rows are sparse-only.
-var enumSparseNs = []int{20, 30, 40}
-
-// enumModel is the cost model of every enumerators cell. SortMerge keeps
-// n = 40 plan costs finite under the float32 overflow limit, where the naive
-// model's intermediate-result sums blow past it on long chains.
+// enumModel is the cost model of every enumerators cell.
 func enumModel() cost.Model { return cost.SortMerge{} }
 
-// enumCards is the cardinality ladder shared by every cell at one n — the
-// same construction the sparse-beyond-dense test uses, so the two stay
-// comparable.
+// enumCards is the cardinality ladder shared by every cell at one n.
 func enumCards(n int) []float64 { return joingraph.CardinalityLadder(n, 1000, 0.6) }
 
 // Enumerators measures the 3^n-vs-CCP speedup curve by topology and writes
 // the BENCH_enumerators.json artifact (Config.EnumJSON):
 //
-//   - Quick grid (n = 10, 14, 18): blitz and dense CCP measured head-to-head
-//     on every topology; the speedup column is the wall-clock ratio. The
+//   - Quick grid (n = 10, 14, 18): blitz and CCP measured head-to-head on
+//     every topology; the speedup column is the wall-clock ratio. The
 //     loop-iteration columns carry the hardware-independent version of the
 //     same curve: 3^n-ish for blitz everywhere and on cliques, polynomial
 //     for CCP on chains and trees.
-//   - Sparse sweep (n = 20, 30, 40): the connected-subset index on chain,
-//     tree, and cycle — past n = 30 no dense table exists at all. Star and
-//     clique rows record the admission refusal (≈2^(n−1) connected subsets).
-//   - Frontier (Config.EnumFrontier): the acceptance points — dense CCP on
-//     the n = 25 clique (every subset connected: CCP does the full 3^n work,
-//     proving the selection logic costs nothing where CCP cannot win) and
-//     the n = 40 balanced tree on the sparse index (16.5M subtrees). The
-//     clique point runs ~10^11 split iterations; without the flag both rows
-//     are recorded as skipped.
+//   - Frontier (Config.EnumFrontier): the acceptance point — CCP on the
+//     n = 25 clique (every subset connected: CCP does the full 3^n work,
+//     proving the selection logic costs nothing where CCP cannot win). It
+//     runs ~8.5·10^11 split iterations; without the flag the row is recorded
+//     as skipped.
 func Enumerators(cfg Config) error {
 	w := cfg.out()
 	fmt.Fprintf(w, "\n== Enumerators: the 3^n split scan vs the csg–cmp fill, by topology ==\n")
 	fmt.Fprintf(w, "Claim: on connected sparse graphs the csg–cmp enumerator does only the\n")
 	fmt.Fprintf(w, "O(connected pairs) split work — polynomial on chains and trees — while the\n")
-	fmt.Fprintf(w, "blitz scan's 3^n is topology-blind; on cliques the two coincide. The sparse\n")
-	fmt.Fprintf(w, "index extends exact product-free optimization past the 2^n table to n = 40.\n\n")
+	fmt.Fprintf(w, "blitz scan's 3^n is topology-blind; on cliques the two coincide.\n\n")
 
 	var rows []EnumRow
 	model := enumModel()
@@ -140,33 +122,11 @@ func Enumerators(cfg Config) error {
 		}
 	}
 
-	// Sparse sweep: the index is built for sparse topologies — chain, tree,
-	// cycle — where connected sets stay polynomial. Star and clique would
-	// admit at n = 20 (2^19 and 2^20 sets under the cap) but their csg–cmp
-	// pair streams are near-3^n and the dense table already covers n ≤ 30,
-	// so the sweep skips them and instead records the genuine admission
-	// refusal at n = 30, the first size where no dense table exists.
-	for _, topo := range enumTopologies() {
-		switch topo.name {
-		case "star", "clique":
-			rows = append(rows, measureSparse(cfg, topo, 30, model, 1<<22))
-			continue
-		}
-		for _, n := range enumSparseNs {
-			if topo.name == "tree" && n == 40 && !cfg.EnumFrontier {
-				rows = append(rows, EnumRow{Topology: topo.name, N: n, Enumerator: "ccp-sparse",
-					Status: "skipped: 16.5M subtrees cost minutes of fill; run with -enum-frontier"})
-				continue
-			}
-			rows = append(rows, measureSparse(cfg, topo, n, model, 1<<25))
-		}
-	}
-
-	// Frontier: dense CCP on the clique at n = 25 — past every quick-grid n,
-	// inside the dense table's n ≤ 30 cap, and the worst case for CCP (all
-	// 3^25 split work survives the connectivity restriction).
+	// Frontier: CCP on the clique at n = 25 — past every quick-grid n and the
+	// worst case for CCP (all 3^25 split work survives the connectivity
+	// restriction).
 	if cfg.EnumFrontier {
-		rows = append(rows, measureDenseFrontier(cfg, "clique", joingraph.CliqueEdges, 25, model))
+		rows = append(rows, measureFrontier(cfg, "clique", joingraph.CliqueEdges, 25, model))
 	} else {
 		rows = append(rows, EnumRow{Topology: "clique", N: 25, Enumerator: "ccp",
 			Status: "skipped: ~8.5e11 split iterations; run with -enum-frontier"})
@@ -174,7 +134,7 @@ func Enumerators(cfg Config) error {
 
 	printEnumRows(w, rows)
 	if cfg.EnumJSON != "" {
-		if err := writeEnumArtifact(cfg.EnumJSON, rows); err != nil {
+		if err := writeEnumArtifact(cfg.EnumJSON, cfg.EnumFrontier, rows); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", cfg.EnumJSON)
@@ -182,39 +142,10 @@ func Enumerators(cfg Config) error {
 	return nil
 }
 
-// measureSparse runs one sparse cell: a single timed optimization (sparse
-// fills at these sizes run milliseconds to minutes, so one run is the honest
-// unit), or the recorded admission refusal on dense topologies.
-func measureSparse(cfg Config, topo enumTopo, n int, model cost.Model, maxSets uint64) EnumRow {
-	row := EnumRow{Topology: topo.name, N: n, Enumerator: "ccp-sparse"}
-	cards := enumCards(n)
-	wide := ccp.BuildWide(topo.edges(n), cards)
-	start := time.Now()
-	res, err := wide.Optimize(cards, ccp.SparseOptions{Model: model, MaxSets: maxSets})
-	secs := time.Since(start).Seconds()
-	if errors.Is(err, ccp.ErrTooManySets) {
-		row.Status = "skipped: " + err.Error()
-		return row
-	}
-	if err != nil {
-		row.Status = "error: " + err.Error()
-		return row
-	}
-	row.Seconds = secs
-	row.LoopIters = res.Counters.LoopIters
-	row.Cost = res.Cost
-	row.Sets = res.Sets
-	row.Status = "measured"
-	if cfg.Progress != nil {
-		fmt.Fprintf(cfg.Progress, "enum/%s/n=%d/ccp-sparse: %.4fs (%d sets)\n", topo.name, n, secs, res.Sets)
-	}
-	return row
-}
-
-// measureDenseFrontier runs one large dense-CCP cell as a single
+// measureFrontier runs one large CCP cell as a single
 // core.Optimize call — at these sizes one fill is minutes of work and the
 // repeat-until-budget loop would be dishonest padding.
-func measureDenseFrontier(cfg Config, name string, edges func(int) []joingraph.Pair, n int, model cost.Model) EnumRow {
+func measureFrontier(cfg Config, name string, edges func(int) []joingraph.Pair, n int, model cost.Model) EnumRow {
 	row := EnumRow{Topology: name, N: n, Enumerator: "ccp"}
 	cards := enumCards(n)
 	g := joingraph.Build(edges(n), cards)
@@ -266,10 +197,14 @@ type enumArtifact struct {
 	Results    []EnumRow `json:"results"`
 }
 
-func writeEnumArtifact(path string, rows []EnumRow) error {
+func writeEnumArtifact(path string, frontier bool, rows []EnumRow) error {
+	command := "go run ./cmd/blitzbench -exp enumerators -enum-json BENCH_enumerators.json"
+	if frontier {
+		command += " -enum-frontier"
+	}
 	art := enumArtifact{
 		Benchmark:  "blitzbench -exp enumerators",
-		Command:    "go run ./cmd/blitzbench -exp enumerators -enum-frontier -enum-json BENCH_enumerators.json",
+		Command:    command,
 		Date:       time.Now().Format("2006-01-02"),
 		Goos:       runtime.GOOS,
 		Goarch:     runtime.GOARCH,
@@ -277,11 +212,10 @@ func writeEnumArtifact(path string, rows []EnumRow) error {
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Note: "3^n split scan vs csg–cmp enumerator by topology on the (mean 1000, var 0.6) " +
 			"cardinality ladder under κsm. Quick-grid rows (n ≤ 18) are budget-averaged and carry " +
-			"the wall-clock speedup; sparse and frontier rows are single runs. loop_iters is the " +
+			"the wall-clock speedup; the frontier row is a single run. loop_iters is the " +
 			"hardware-independent work measure: 3^n − 2^(n+1) + 1 for blitz, 2·(csg–cmp pairs) for " +
-			"both CCP fills. Skipped cells record why — infeasible work (blitz past n ≈ 20, the " +
-			"3^25 clique without -enum-frontier) or sparse admission refusals on star/clique " +
-			"(≈2^(n−1) connected subsets).",
+			"CCP. A skipped cell records why: the n = 25 clique's ~8.5e11 split iterations run " +
+			"only with -enum-frontier.",
 		Results: rows,
 	}
 	b, err := json.MarshalIndent(art, "", "  ")

@@ -12,20 +12,17 @@
 //   - EnumerateCsg emits every connected subset of the graph exactly once,
 //     growing each set through its neighborhood frontier (never by blind
 //     subset iteration), in O(1) amortized work per emitted set.
-//   - MarkConnected materializes the emission as a 2^n-bit connectivity
-//     bitmap, which the dense fill in internal/core consults to restrict the
-//     §4.2 split loop to connected complement pairs.
+//   - MarkConnectedHalt materializes the emission as a 2^n-bit connectivity
+//     bitmap. The dense fill in internal/core builds its bitmap with it and
+//     restricts the §4.2 fill to the marked subsets and their connected
+//     complement pairs; MarkConnected is the unbudgeted form that
+//     check.EnumeratorAgree compares against BFS.
 //   - CountCsgCmpPairs counts the csg–cmp pairs — the CCP analog of the
 //     3^n/2 unordered-bipartition count, and the quantity the speedup curve
 //     in BENCH_enumerators.json is made of.
-//   - Wide + (*Wide).Optimize is a sparse csg–cmp optimizer for up to 63
-//     relations: instead of a dense 2^n table it indexes only the connected
-//     subsets, which is polynomial on chains and trees (n(n+1)/2 sets on a
-//     chain), pushing exact Cartesian-free optimization to n = 40+ where the
-//     dense table alone would need hundreds of GiB.
 //
 // The package deliberately does not import internal/core: core imports ccp
-// for the bitmap, and the sparse optimizer reports its own SparseCounters.
+// for the bitmap.
 package ccp
 
 import (
@@ -37,8 +34,8 @@ import (
 
 // Adjacency is the neighbor-set view of an undirected graph over n vertices:
 // a[i] is the bitset of neighbors of vertex i. It is the minimal shape the
-// csg enumeration needs, so both joingraph.Graph (n ≤ 30) and Wide (n ≤ 63)
-// — and hybrid.IDP's contracted unit graphs — can feed the same machinery.
+// csg enumeration needs, so both joingraph.Graph and hybrid.IDP's contracted
+// unit graphs can feed the same machinery.
 type Adjacency []bitset.Set
 
 // GraphAdjacency extracts the adjacency view of a join graph.
@@ -132,9 +129,7 @@ func (a Adjacency) enumerateCsgRec(s, x bitset.Set, visit func(bitset.Set) bool)
 // valid for dynamic programming: when (s1, s2) is emitted, every pair whose
 // union is s1 or s2 has already been emitted, so a DP that folds each pair
 // into its union's entry reads only finished entries. Total work is O(1)
-// amortized per pair — the property that lets the sparse optimizer handle
-// bushy trees whose per-set csg counts are exponential while their per-set
-// split counts are linear. Emission stops early, returning false, when visit
+// amortized per pair. Emission stops early, returning false, when visit
 // returns false.
 func (a Adjacency) EnumerateCsgCmp(visit func(s1, s2 bitset.Set) bool) bool {
 	return a.EnumerateCsg(func(s1 bitset.Set) bool {
@@ -203,20 +198,6 @@ func MarkConnectedHalt(dst []uint64, a Adjacency, halt func() bool) ([]uint64, u
 		return true
 	})
 	return dst, count
-}
-
-// CountConnected returns the number of connected subsets (singletons
-// included), without materializing anything. limit > 0 aborts the count once
-// exceeded — the sparse optimizer's admission check for star- and
-// clique-like graphs whose connected-set count is exponential — returning
-// limit+1.
-func (a Adjacency) CountConnected(limit uint64) uint64 {
-	var count uint64
-	a.EnumerateCsg(func(bitset.Set) bool {
-		count++
-		return limit == 0 || count <= limit
-	})
-	return count
 }
 
 // CountCsgCmpPairs returns the number of unordered csg–cmp pairs: connected

@@ -1,18 +1,11 @@
 package ccp_test
 
 import (
-	"errors"
-	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/ccp"
-	"blitzsplit/internal/core"
-	"blitzsplit/internal/cost"
 	"blitzsplit/internal/joingraph"
-	"blitzsplit/internal/plan"
 )
 
 // topologies are the shapes every enumeration test sweeps; edges(n) returns
@@ -68,6 +61,16 @@ func connectedCountFormula(topo string, n int) int64 {
 	return -1
 }
 
+// countCsg counts EnumerateCsg's emissions.
+func countCsg(adj ccp.Adjacency) uint64 {
+	var count uint64
+	adj.EnumerateCsg(func(bitset.Set) bool {
+		count++
+		return true
+	})
+	return count
+}
+
 func TestEnumerateCsgCounts(t *testing.T) {
 	for _, topo := range topologies {
 		for n := 2; n <= 12; n++ {
@@ -79,8 +82,8 @@ func TestEnumerateCsgCounts(t *testing.T) {
 			if want < 0 {
 				continue
 			}
-			if got := adj.CountConnected(0); got != uint64(want) {
-				t.Errorf("%s/n=%d: CountConnected = %d, want %d", topo.name, n, got, want)
+			if got := countCsg(adj); got != uint64(want) {
+				t.Errorf("%s/n=%d: EnumerateCsg emitted %d sets, want %d", topo.name, n, got, want)
 			}
 		}
 	}
@@ -158,26 +161,13 @@ func TestMarkConnectedMatchesBFS(t *testing.T) {
 
 func TestMarkConnectedHalt(t *testing.T) {
 	adj, _ := adjacencyFor(t, joingraph.CliqueEdges, 12) // 4095 connected sets
-	full := adj.CountConnected(0)
+	full := countCsg(adj)
 	_, count := ccp.MarkConnectedHalt(nil, adj, func() bool { return true })
 	if count >= full {
 		t.Fatalf("halted marking emitted %d of %d sets", count, full)
 	}
 	if count == 0 || count%1024 != 0 {
 		t.Errorf("halt should trigger on a 1024-emission stride, stopped at %d", count)
-	}
-}
-
-func TestCountConnectedLimit(t *testing.T) {
-	adj, _ := adjacencyFor(t, joingraph.CliqueEdges, 10) // 1023 connected sets
-	if got := adj.CountConnected(0); got != 1023 {
-		t.Fatalf("unlimited count = %d, want 1023", got)
-	}
-	if got := adj.CountConnected(100); got != 101 {
-		t.Errorf("limited count = %d, want limit+1 = 101", got)
-	}
-	if got := adj.CountConnected(5000); got != 1023 {
-		t.Errorf("roomy limit count = %d, want 1023", got)
 	}
 }
 
@@ -243,218 +233,4 @@ func TestConnectedEdgeCases(t *testing.T) {
 	if adj.Connected(0b11) {
 		t.Error("edgeless pair reported connected")
 	}
-}
-
-func TestWideAddEdgeErrors(t *testing.T) {
-	cases := []struct {
-		name    string
-		a, b    int
-		sel     float64
-		errPart string
-	}{
-		{"a out of range", -1, 2, 0.5, "out of range"},
-		{"b out of range", 0, 5, 0.5, "out of range"},
-		{"self edge", 1, 1, 0.5, "self-edge"},
-		{"zero selectivity", 0, 1, 0, "selectivity"},
-		{"negative selectivity", 0, 1, -0.5, "selectivity"},
-		{"selectivity above one", 0, 1, 1.5, "selectivity"},
-		{"NaN selectivity", 0, 1, math.NaN(), "selectivity"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			w := ccp.NewWide(5)
-			err := w.AddEdge(c.a, c.b, c.sel)
-			if err == nil || !strings.Contains(err.Error(), c.errPart) {
-				t.Errorf("AddEdge(%d,%d,%v) error = %v, want mention of %q", c.a, c.b, c.sel, err, c.errPart)
-			}
-		})
-	}
-	w := ccp.NewWide(5)
-	if err := w.AddEdge(2, 0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddEdge(0, 2, 0.7); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate edge error = %v", err)
-	}
-	if w.N() != 5 || w.NumEdges() != 1 {
-		t.Errorf("N, NumEdges = %d, %d; want 5, 1", w.N(), w.NumEdges())
-	}
-}
-
-func TestNewWidePanics(t *testing.T) {
-	for _, n := range []int{0, -3, ccp.MaxWideRelations + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewWide(%d) did not panic", n)
-				}
-			}()
-			ccp.NewWide(n)
-		}()
-	}
-}
-
-// TestBuildWideMatchesJoingraph pins Wide's edge selectivities to the ones
-// joingraph.Build assigns for the identical topology and cardinalities.
-func TestBuildWideMatchesJoingraph(t *testing.T) {
-	pairs := joingraph.AppendixChainEdges(8)
-	cards := joingraph.CardinalityLadder(8, 1000, 0.7)
-	g := joingraph.Build(pairs, cards)
-	w := ccp.BuildWide(pairs, cards)
-	adj := w.Adjacency()
-	for i := 0; i < 8; i++ {
-		if adj[i] != g.Neighbors(i) {
-			t.Errorf("wide adj[%d] = %b, joingraph says %b", i, adj[i], g.Neighbors(i))
-		}
-	}
-	if w.NumEdges() != len(pairs) {
-		t.Fatalf("wide has %d edges, want %d", w.NumEdges(), len(pairs))
-	}
-}
-
-func relClose(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
-}
-
-// TestSparseMatchesDenseCCP runs the sparse optimizer against the dense CCP
-// fill on every overlapping input (connected, n ≤ 10): costs and
-// cardinalities agree to float tolerance (the sparse path computes
-// cardinalities by direct product, the dense one by the §5.2 recurrences),
-// and the set-determined counters — SubsetsVisited, LoopIters, KpEvals —
-// agree exactly.
-func TestSparseMatchesDenseCCP(t *testing.T) {
-	const tol = 1e-9
-	for _, topo := range topologies {
-		for n := 2; n <= 10; n++ {
-			pairs := topo.edges(n)
-			if n >= 2 && pairs == nil {
-				continue
-			}
-			cards := joingraph.CardinalityLadder(n, 1000, 0.8)
-			q := core.Query{Cards: cards, Graph: joingraph.Build(pairs, cards)}
-			w := ccp.BuildWide(pairs, cards)
-			for _, m := range cost.PaperModels() {
-				name := fmt.Sprintf("%s/n=%d/%s", topo.name, n, m.Name())
-				dense, err := core.Optimize(q, core.Options{
-					Model: m, Enumerator: core.EnumeratorCCP, DiscardTable: true,
-				})
-				if err != nil {
-					t.Fatalf("%s: dense: %v", name, err)
-				}
-				sparse, err := w.Optimize(cards, ccp.SparseOptions{Model: m})
-				if err != nil {
-					t.Fatalf("%s: sparse: %v", name, err)
-				}
-				if !relClose(sparse.Cost, dense.Cost, tol) {
-					t.Errorf("%s: sparse cost %v vs dense %v", name, sparse.Cost, dense.Cost)
-				}
-				if !relClose(sparse.Cardinality, dense.Cardinality, tol) {
-					t.Errorf("%s: sparse card %v vs dense %v", name, sparse.Cardinality, dense.Cardinality)
-				}
-				dc := dense.Counters
-				sc := sparse.Counters
-				if sc.SubsetsVisited != dc.SubsetsVisited || sc.LoopIters != dc.LoopIters || sc.KpEvals != dc.KpEvals {
-					t.Errorf("%s: set-determined counters differ: sparse %+v, dense %+v", name, sc, dc)
-				}
-				if uint64(sparse.Sets) != ccp.Adjacency(w.Adjacency()).CountConnected(0) {
-					t.Errorf("%s: Sets = %d, enumeration says %d",
-						name, sparse.Sets, ccp.Adjacency(w.Adjacency()).CountConnected(0))
-				}
-			}
-		}
-	}
-}
-
-// TestSparseBeyondDense exercises the sparse optimizer's whole reason to
-// exist: exact product-free plans past bitset.MaxRelations = 30. Chains and
-// cycles run at n = 40 (their connected-set counts are polynomial); the
-// balanced tree runs at n = 31 — already beyond any dense table — because
-// its 16.5M subtrees at n = 40 cost minutes of map-bound fill, a price the
-// enumerators benchmark pays once but a unit test must not (the bench's
-// BENCH_enumerators.json records the n = 40 tree run).
-func TestSparseBeyondDense(t *testing.T) {
-	for _, topo := range []struct {
-		name  string
-		n     int
-		edges func(n int) []joingraph.Pair
-		sets  int
-	}{
-		{"chain", 40, joingraph.AppendixChainEdges, 40 * 41 / 2},
-		{"tree", 31, joingraph.TreeEdges, 459829}, // counted; no closed form
-		{"cycle", 40, joingraph.CycleEdges, 40*39 + 1},
-	} {
-		n := topo.n
-		pairs := topo.edges(n)
-		cards := joingraph.CardinalityLadder(n, 1000, 0.6)
-		w := ccp.BuildWide(pairs, cards)
-		res, err := w.Optimize(cards, ccp.SparseOptions{Model: cost.SortMerge{}, MaxSets: 1 << 25})
-		if err != nil {
-			t.Fatalf("%s/n=%d: %v", topo.name, n, err)
-		}
-		if topo.sets != 0 && res.Sets != topo.sets {
-			t.Errorf("%s/n=%d: Sets = %d, want %d", topo.name, n, res.Sets, topo.sets)
-		}
-		if math.IsInf(res.Cost, 1) || res.Cost <= 0 {
-			t.Errorf("%s/n=%d: implausible cost %v", topo.name, n, res.Cost)
-		}
-		leaves := 0
-		var covered bitset.Set
-		res.Plan.Walk(func(nd *plan.Node) {
-			if nd.Left == nil {
-				leaves++
-				covered |= nd.Set
-			}
-		})
-		if leaves != n || covered != bitset.Set(1)<<uint(n)-1 {
-			t.Errorf("%s/n=%d: plan covers %d leaves (mask %b)", topo.name, n, leaves, covered)
-		}
-	}
-}
-
-func TestSparseErrors(t *testing.T) {
-	cards := joingraph.CardinalityLadder(6, 100, 0.5)
-
-	t.Run("disconnected", func(t *testing.T) {
-		w := ccp.NewWide(6)
-		if err := w.AddEdge(0, 1, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		_, err := w.Optimize(cards, ccp.SparseOptions{})
-		if !errors.Is(err, ccp.ErrDisconnected) {
-			t.Errorf("error = %v, want ErrDisconnected", err)
-		}
-	})
-	t.Run("too many sets", func(t *testing.T) {
-		n := 24
-		w := ccp.BuildWide(joingraph.StarEdges(n, 0), joingraph.CardinalityLadder(n, 100, 0.5))
-		_, err := w.Optimize(joingraph.CardinalityLadder(n, 100, 0.5), ccp.SparseOptions{MaxSets: 1000})
-		if !errors.Is(err, ccp.ErrTooManySets) {
-			t.Errorf("error = %v, want ErrTooManySets", err)
-		}
-	})
-	t.Run("card count mismatch", func(t *testing.T) {
-		w := ccp.BuildWide(joingraph.AppendixChainEdges(6), cards)
-		if _, err := w.Optimize(cards[:5], ccp.SparseOptions{}); err == nil {
-			t.Error("expected an error for 5 cards on 6 relations")
-		}
-	})
-	t.Run("invalid card", func(t *testing.T) {
-		w := ccp.BuildWide(joingraph.AppendixChainEdges(6), cards)
-		bad := append([]float64(nil), cards...)
-		bad[3] = math.NaN()
-		if _, err := w.Optimize(bad, ccp.SparseOptions{}); err == nil {
-			t.Error("expected an error for a NaN cardinality")
-		}
-	})
-	t.Run("overflow leaves no plan", func(t *testing.T) {
-		w := ccp.BuildWide(joingraph.AppendixChainEdges(6), cards)
-		_, err := w.Optimize(cards, ccp.SparseOptions{OverflowLimit: math.SmallestNonzeroFloat64})
-		if err == nil || !strings.Contains(err.Error(), "no plan") {
-			t.Errorf("error = %v, want a no-plan failure", err)
-		}
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/cost"
 )
 
@@ -69,10 +70,11 @@ func (e *BudgetError) Unwrap() []error {
 // DP table a query with n relations needs: the 2^n-element cardinality
 // column (8 B) and the interleaved cost/best-split slot column (16 B), plus
 // the fan column (8 B) when the query has a join graph and the memo column
-// (8 B) when the cost model memoizes per-set values. Scratch (chunk starts,
-// per-worker counters) is a few cache lines and is not counted. Admission
-// control compares this against Options.MemoryBudget before anything is
-// allocated.
+// (8 B) when the cost model memoizes per-set values. This is everything the
+// blitz scan keeps; a CCP fill keeps CCPFootprint more. Scratch (chunk
+// starts, per-worker counters) is a few cache lines and is not counted.
+// Admission control compares the run's footprint against
+// Options.MemoryBudget before anything is allocated.
 func TableFootprint(n int, hasGraph bool, model cost.Model) uint64 {
 	if model == nil {
 		model = cost.Naive{}
@@ -85,6 +87,20 @@ func TableFootprint(n int, hasGraph bool, model cost.Model) uint64 {
 		per += 8 // memo
 	}
 	return per << uint(n)
+}
+
+// CCPFootprint returns the bytes a CCP fill over n relations keeps beyond
+// TableFootprint: the 2^n-bit connectivity bitmap and, for a layer-parallel
+// fill, the buffer one rank layer's connected sets are gathered into (8 B a
+// set). The buffer is admitted at the largest layer any graph can have —
+// C(n, ⌊n/2⌋) sets, the middle layer of a clique — so admission depends on
+// the query's shape, not on its edges.
+func CCPFootprint(n int, parallel bool) uint64 {
+	fp := (uint64(1)<<uint(n) + 63) / 64 * 8 // connectivity bitmap
+	if parallel {
+		fp += bitset.Binomial(n, n/2) * 8 // rank-layer buffer
+	}
+	return fp
 }
 
 // budgetCheckStride is how many subsets a fill goroutine processes between

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/joingraph"
@@ -279,6 +280,43 @@ func TestThresholdEscalatesToUnthresholdedFinalPass(t *testing.T) {
 		}
 		if res.Counters.Passes != want {
 			t.Fatalf("MaxPasses=%d: Passes = %d, want %d", maxPasses, res.Counters.Passes, want)
+		}
+	}
+}
+
+// TestCCPMemoryAdmissionCoversRetained: under EnumeratorCCP the admission
+// footprint counts what the CCP fill keeps beyond the blitz table, so a
+// budget equal to it is admitted, one byte less is refused, and a fresh
+// table retains no more than the footprint plus the chunk-start and
+// worker-counter scratch.
+func TestCCPMemoryAdmissionCoversRetained(t *testing.T) {
+	const n = 12
+	cards := joingraph.CardinalityLadder(n, 1000, 0.8)
+	for _, topo := range []struct {
+		name  string
+		edges []joingraph.Pair
+	}{
+		{"clique", joingraph.CliqueEdges(n)},
+		{"star", joingraph.StarEdges(n, 0)},
+	} {
+		q := Query{Cards: cards, Graph: joingraph.Build(topo.edges, cards)}
+		for _, par := range []int{0, 2} {
+			fp := TableFootprint(n, true, cost.Naive{}) + CCPFootprint(n, par > 0)
+			opts := Options{Enumerator: EnumeratorCCP, Parallelism: par, MemoryBudget: fp - 1}
+			var be *BudgetError
+			if _, err := Optimize(q, opts); !errors.As(err, &be) || be.Phase != PhaseAdmission {
+				t.Fatalf("%s/par=%d: budget below the footprint: err = %v, want an admission refusal", topo.name, par, err)
+			}
+			opts.MemoryBudget = fp
+			res, err := Optimize(q, opts)
+			if err != nil {
+				t.Fatalf("%s/par=%d: budget == footprint refused: %v", topo.name, par, err)
+			}
+			tbl := res.Table
+			scratch := uint64(cap(tbl.chunks))*8 + uint64(cap(tbl.workers))*uint64(unsafe.Sizeof(paddedCounters{}))
+			if got := tbl.RetainedBytes(); got > fp+scratch {
+				t.Errorf("%s/par=%d: retains %d B, admitted %d B + %d B scratch", topo.name, par, got, fp, scratch)
+			}
 		}
 	}
 }

@@ -1,21 +1,22 @@
 // The connected-complement-pair (CCP) fill strategy: the second exact fill
 // behind Options.Enumerator. The paper's §4.2 scan enumerates every
 // bipartition of every subset — 3^n split iterations — including Cartesian
-// splits that a connected join graph never needs. The CCP fill visits only
-// connected subsets (a sorted list produced by internal/ccp's
-// neighborhood-based csg expansion) and, inside each, only splits whose two
-// halves are both connected (O(1) probes into a 2^n-bit connectivity
-// bitmap). On a chain the 3^n term collapses to O(n^3); on a clique every
-// subset is connected and the fill degenerates to the blitz scan plus two
-// bitmap probes per pair — which is why EnumeratorAuto exists rather than an
-// unconditional switch.
+// splits that a connected join graph never needs. The CCP fill is the blitz
+// fill restricted to connected subsets: the same schedules and the same
+// findBestSplit, visiting only the subsets marked in a 2^n-bit connectivity
+// bitmap (internal/ccp's neighborhood-based csg expansion builds it) and,
+// inside each, only splits whose two halves are both connected (O(1) probes
+// into the same bitmap). On a chain the 3^n term collapses to O(n^3); on a
+// clique every subset is connected and the fill degenerates to the blitz
+// scan plus two bitmap probes per pair — which is why EnumeratorAuto exists
+// rather than an unconditional switch.
 //
-// The guarded loops below are copied from findBestSplit's pair loops with
-// only the connectivity guards inserted: same κ′/κ″ evaluation order, same
-// strict prunes, same smallest-LHS tie rule. Because the CCP split set is a
-// subset of the blitz split set evaluated with identical float operations,
-// the CCP fill's cost for every set is ≥ the blitz fill's, with bitwise
-// equality whenever the blitz optimum is Cartesian-free —
+// The guarded pair loops in connectedSplits are findBestSplit's pair loops
+// with only the connectivity guards inserted: same κ′/κ″ evaluation order,
+// same strict prunes, same smallest-LHS tie rule. Because the CCP split set
+// is a subset of the blitz split set evaluated with identical float
+// operations, the CCP fill's cost for every set is ≥ the blitz fill's, with
+// bitwise equality whenever the blitz optimum is Cartesian-free —
 // check.EnumeratorAgree enforces exactly that.
 
 package core
@@ -23,13 +24,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
+	"math/bits"
 
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/ccp"
-	"blitzsplit/internal/faultinject"
 )
 
 // Enumerator selects the exact fill strategy for Optimize.
@@ -133,188 +131,77 @@ func (o Options) ResolveEnumerator(ccpEligible bool) (Enumerator, error) {
 	return 0, fmt.Errorf("core: invalid Options.Enumerator %d", int(o.Enumerator))
 }
 
-// prepareCCP builds the connectivity bitmap and the sorted connected-subset
-// list for the current query, once per optimize call (threshold passes
-// reuse them; Reset invalidates). Both ride on the table so arena reuse
-// amortizes their allocation exactly like the DP columns; RetainedBytes
-// meters them. The enumeration is budget-checked every 1024 emissions.
+// prepareCCP builds the connectivity bitmap for the current query, once per
+// optimize call (threshold passes reuse it; Reset invalidates). It rides on
+// the table so arena reuse amortizes its allocation exactly like the DP
+// columns; RetainedBytes meters it. The marking is budget-checked every 1024
+// emissions.
 func (t *Table) prepareCCP(q Query, bg *budget) error {
 	if t.ccpN == t.n {
 		return nil
 	}
-	adj := ccp.GraphAdjacency(q.Graph)
-	words := ((1 << uint(t.n)) + 63) / 64
-	if cap(t.conn) < words {
-		t.conn = make([]uint64, words)
-	} else {
-		t.conn = t.conn[:words]
-		for i := range t.conn {
-			t.conn[i] = 0
-		}
-	}
-	t.csg = t.csg[:0]
-	var emitted uint64
-	halted := false
-	adj.EnumerateCsg(func(s bitset.Set) bool {
-		t.conn[s>>6] |= 1 << (uint(s) & 63)
-		if s&(s-1) != 0 {
-			t.csg = append(t.csg, s)
-		}
-		emitted++
-		if emitted&1023 == 0 && bg.halted() {
-			halted = true
-			return false
-		}
-		return true
-	})
-	if halted || bg.halted() {
-		bg.add(emitted)
+	var marked uint64
+	t.conn, marked = ccp.MarkConnectedHalt(t.conn, ccp.GraphAdjacency(q.Graph), bg.halted)
+	if bg.halted() {
+		bg.add(marked)
 		return bg.exceeded(PhaseFill)
 	}
-	// Sort by (popcount, value): proper subsets precede supersets — the
-	// sparse analog of the numeric fill order — and the layered schedule's
-	// rank layers come out contiguous.
-	sort.Slice(t.csg, func(i, j int) bool {
-		ci, cj := t.csg[i].Count(), t.csg[j].Count()
-		if ci != cj {
-			return ci < cj
-		}
-		return t.csg[i] < t.csg[j]
-	})
 	t.ccpN = t.n
 	return nil
 }
 
-// fillCostsCCPSerial is the serial CCP pass: findBestSplitCCP over the
-// sorted connected-subset list, with the same 1024-set budget stride and
-// fault-injection point as the serial blitz fill.
-func (t *Table) fillCostsCCPSerial(threshold float64, bg *budget) (Counters, error) {
-	var c Counters
-	for j, s := range t.csg {
-		if j&(budgetCheckStride-1) == 0 {
-			faultinject.Inject(faultinject.CoreFillLayer)
-			if bg.halted() {
-				bg.add(c.SubsetsVisited)
-				return c, bg.exceeded(PhaseFill)
-			}
+// sizeLayerBuffer gives the layer buffer room for the largest rank layer of
+// connected sets, counted from the bitmap, so the layered pass never grows
+// it by doubling: its capacity stays within the C(n, ⌊n/2⌋) sets that
+// CCPFootprint admits.
+func (t *Table) sizeLayerBuffer() {
+	var perRank [bitset.MaxRelations + 1]int
+	for w, word := range t.conn {
+		base := bitset.Set(w) << 6
+		for ; word != 0; word &= word - 1 {
+			perRank[(base|bitset.Set(bits.TrailingZeros64(word))).Count()]++
 		}
-		c.SubsetsVisited++
-		t.findBestSplitCCP(s, threshold, &c)
 	}
-	return c, nil
+	largest := 0
+	for _, c := range perRank[2:] {
+		largest = max(largest, c)
+	}
+	if cap(t.layer) < largest {
+		t.layer = make([]bitset.Set, 0, largest)
+	}
 }
 
-// fillCostsCCPLayered is the parallel CCP pass: the connected-subset list's
-// rank layers (contiguous after prepareCCP's sort) are chunked across
-// workers with a barrier between layers, mirroring fillCostsLayered. Per-set
-// work is deterministic and order-independent within a layer, so the
-// schedule is bit-identical to the serial pass.
-func (t *Table) fillCostsCCPLayered(threshold float64, workers int, bg *budget) (Counters, error) {
-	if workers > len(t.workers) {
-		t.workers = make([]paddedCounters, workers)
-	}
-	for i := range t.workers {
-		t.workers[i].c = Counters{}
-	}
-	list := t.csg
-	for start := 0; start < len(list); {
-		k := list[start].Count()
-		end := start + 1
-		for end < len(list) && list[end].Count() == k {
-			end++
+// connectedLayer gathers the connected sets of popcount k from the bitmap,
+// word by word in numeric order, into the table's layer buffer.
+func (t *Table) connectedLayer(k int) []bitset.Set {
+	layer := t.layer[:0]
+	for w, word := range t.conn {
+		base := bitset.Set(w) << 6
+		for ; word != 0; word &= word - 1 {
+			if s := base | bitset.Set(bits.TrailingZeros64(word)); s.Count() == k {
+				layer = append(layer, s)
+			}
 		}
-		faultinject.Inject(faultinject.CoreFillLayer)
-		if bg.halted() {
-			break
-		}
-		t.runListLayer(list[start:end], workers, threshold, bg)
-		start = end
 	}
-	var total Counters
-	for w := 0; w < workers; w++ {
-		total.Add(t.workers[w].c)
-	}
-	if bg.halted() {
-		bg.add(total.SubsetsVisited)
-		return total, bg.exceeded(PhaseFill)
-	}
-	return total, nil
+	t.layer = layer
+	return layer
 }
 
-// runListLayer partitions one rank layer of the connected-subset list into
-// contiguous chunks and strides them across workers — the list-indexed
-// analog of runLayer, with the same ~4-chunks-per-worker target, chunk
-// fault-injection point, and budget checks.
-func (t *Table) runListLayer(layer []bitset.Set, workers int, threshold float64, bg *budget) {
-	chunk := len(layer) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	nchunks := (len(layer) + chunk - 1) / chunk
-	work := func(w, ci int) {
-		if bg.halted() {
-			return
-		}
-		faultinject.Inject(faultinject.CoreFillChunk)
-		c := &t.workers[w].c
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > len(layer) {
-			hi = len(layer)
-		}
-		for j, s := range layer[lo:hi] {
-			if j&(budgetCheckStride-1) == 0 && j > 0 && bg.halted() {
-				return
-			}
-			c.SubsetsVisited++
-			t.findBestSplitCCP(s, threshold, c)
-		}
-	}
-	if workers == 1 || nchunks == 1 {
-		for ci := 0; ci < nchunks; ci++ {
-			work(0, ci)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ci := w; ci < nchunks; ci += workers {
-				work(w, ci)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// findBestSplitCCP is findBestSplit restricted to connected-complement
-// pairs: the caller guarantees s is connected, and two bitmap probes gate
-// each candidate pair before any cost load. Everything else — κ′ outside
-// the loop, threshold skip, strict prunes, both-orientation κ″ evaluation,
-// the smallest-LHS tie rule — is byte-for-byte the pair loops of
-// findBestSplit, so on any set whose blitz winner is a connected split the
-// two strategies write bit-identical slots.
+// connectedSplits is findBestSplit's pair scan for EnumeratorCCP: the caller
+// guarantees s is connected, and two bitmap probes gate each candidate pair
+// before any cost load. best is the incumbent bound (threshold − κ′); the
+// winner comes back with the loop's counts. The two loops are findBestSplit's
+// κ″ ≡ 0 and nested-if pair loops, guarded — kept in their own method so the
+// blitz loops carry no guard, and the guarded ones stay as tight as the
+// unguarded.
 //
-// Counter semantics shift with the strategy: SubsetsVisited counts connected
-// non-singleton sets, and LoopIters counts the ordered csg–cmp splits
-// actually enumerated (2 per unordered pair) rather than the blitz scan's
-// analytic 2^|s|−2 — the quantity the speedup curve is made of
-// (ccp.CountCsgCmpPairs cross-checks it).
-func (t *Table) findBestSplitCCP(s bitset.Set, threshold float64, c *Counters) {
-	outCard := t.card[s]
-	kp := t.model.SplitIndep(outCard)
-	c.KpEvals++
-	if kp > threshold || math.IsInf(kp, 1) || math.IsNaN(kp) {
-		c.ThresholdSkips++
-		t.slot[s] = Slot{Cost: math.Inf(1)}
-		return
-	}
-	best := threshold - kp
+// LoopIters counts the ordered csg–cmp splits actually enumerated (2 per
+// unordered pair) rather than the blitz scan's analytic 2^|s|−2 — the
+// quantity the speedup curve is made of (ccp.CountCsgCmpPairs cross-checks
+// it).
+func (t *Table) connectedSplits(s bitset.Set, outCard, best float64, conn []uint64) (float64, bitset.Set, uint64, uint64, uint64) {
 	bestLHS := bitset.Empty
 	slots := t.slot
-	conn := t.conn
 	mask := bitset.Set(len(slots)) - 1
 	_ = slots[s]
 	low := s & -s
@@ -353,61 +240,53 @@ func (t *Table) findBestSplitCCP(s bitset.Set, threshold float64, c *Counters) {
 				}
 			}
 		}
-	} else {
-		// Guarded form of findBestSplit's default nested-if pair loop.
-		for sub := bitset.Set(0); ; sub = (sub - rest) & rest {
-			lhs := sub | low
-			if lhs == s {
-				break
+		return best, bestLHS, iters, kppEvals, condHits
+	}
+	// Guarded form of findBestSplit's default nested-if pair loop.
+	for sub := bitset.Set(0); ; sub = (sub - rest) & rest {
+		lhs := sub | low
+		if lhs == s {
+			break
+		}
+		if conn[lhs>>6]&(1<<(uint(lhs)&63)) == 0 {
+			continue
+		}
+		rhs := s ^ lhs
+		if conn[rhs>>6]&(1<<(uint(rhs)&63)) == 0 {
+			continue
+		}
+		iters += 2
+		lc := slots[lhs&mask].Cost
+		if lc > best {
+			continue
+		}
+		rc := slots[rhs&mask].Cost
+		if rc > best {
+			continue
+		}
+		oprnd := lc + rc
+		if oprnd > best {
+			continue
+		}
+		kppEvals++
+		if d := oprnd + t.splitDep(outCard, lhs, rhs); d < best || (d == best && lhs < bestLHS) {
+			if d < best {
+				condHits++
 			}
-			if conn[lhs>>6]&(1<<(uint(lhs)&63)) == 0 {
-				continue
+			best = d
+			bestLHS = lhs
+		}
+		if oprnd > best {
+			continue
+		}
+		kppEvals++
+		if d := oprnd + t.splitDep(outCard, rhs, lhs); d < best || (d == best && rhs < bestLHS) {
+			if d < best {
+				condHits++
 			}
-			rhs := s ^ lhs
-			if conn[rhs>>6]&(1<<(uint(rhs)&63)) == 0 {
-				continue
-			}
-			iters += 2
-			lc := slots[lhs&mask].Cost
-			if lc > best {
-				continue
-			}
-			rc := slots[rhs&mask].Cost
-			if rc > best {
-				continue
-			}
-			oprnd := lc + rc
-			if oprnd > best {
-				continue
-			}
-			kppEvals++
-			if d := oprnd + t.splitDep(outCard, lhs, rhs); d < best || (d == best && lhs < bestLHS) {
-				if d < best {
-					condHits++
-				}
-				best = d
-				bestLHS = lhs
-			}
-			if oprnd > best {
-				continue
-			}
-			kppEvals++
-			if d := oprnd + t.splitDep(outCard, rhs, lhs); d < best || (d == best && rhs < bestLHS) {
-				if d < best {
-					condHits++
-				}
-				best = d
-				bestLHS = rhs
-			}
+			best = d
+			bestLHS = rhs
 		}
 	}
-
-	c.LoopIters += iters
-	c.KppEvals += kppEvals
-	c.CondHits += condHits
-	if bestLHS == 0 {
-		t.slot[s] = Slot{Cost: math.Inf(1)}
-		return
-	}
-	t.slot[s] = Slot{Cost: best + kp, BestLHS: uint32(bestLHS)}
+	return best, bestLHS, iters, kppEvals, condHits
 }

@@ -185,25 +185,42 @@ func TestCCPSerialParallelIdentical(t *testing.T) {
 
 // TestCCPLoopItersMatchPairCount cross-checks the optimizer's LoopIters
 // against the independent csg–cmp pair count: one single-pass CCP fill
-// performs exactly two split evaluations per unordered pair.
+// performs exactly two split evaluations per unordered pair. It also pins
+// which subsets the fill visits — every connected non-singleton subset once,
+// by the BFS reference — for tables smaller than one bitmap word (n < 6),
+// exactly one word (n = 6) and several words, in both schedules.
 func TestCCPLoopItersMatchPairCount(t *testing.T) {
 	for _, topo := range ccpTopologies {
-		for _, n := range []int{5, 9} {
+		for _, n := range []int{2, 3, 5, 6, 7, 9} {
 			q, ok := ccpQuery(topo.edges, n)
 			if !ok {
 				continue
 			}
-			res, err := Optimize(q, Options{Enumerator: EnumeratorCCP, DiscardTable: true})
-			if err != nil {
-				t.Fatalf("%s/n=%d: %v", topo.name, n, err)
+			adj := ccp.GraphAdjacency(q.Graph)
+			var connected uint64
+			for s := bitset.Set(3); s < bitset.Set(1)<<uint(n); s++ {
+				if s&(s-1) != 0 && adj.Connected(s) {
+					connected++
+				}
 			}
-			if res.Counters.Passes != 1 || res.Counters.ThresholdSkips != 0 {
-				t.Fatalf("%s/n=%d: expected one skip-free pass, got %+v", topo.name, n, res.Counters)
-			}
-			want := 2 * ccp.GraphAdjacency(q.Graph).CountCsgCmpPairs()
-			if res.Counters.LoopIters != want {
-				t.Errorf("%s/n=%d: LoopIters = %d, want 2·pairs = %d",
-					topo.name, n, res.Counters.LoopIters, want)
+			want := 2 * adj.CountCsgCmpPairs()
+			for _, par := range []int{0, 2} {
+				res, err := Optimize(q, Options{Enumerator: EnumeratorCCP, Parallelism: par, DiscardTable: true})
+				if err != nil {
+					t.Fatalf("%s/n=%d/par=%d: %v", topo.name, n, par, err)
+				}
+				c := res.Counters
+				if c.Passes != 1 || c.ThresholdSkips != 0 {
+					t.Fatalf("%s/n=%d/par=%d: expected one skip-free pass, got %+v", topo.name, n, par, c)
+				}
+				if c.LoopIters != want {
+					t.Errorf("%s/n=%d/par=%d: LoopIters = %d, want 2·pairs = %d",
+						topo.name, n, par, c.LoopIters, want)
+				}
+				if c.SubsetsVisited != connected || c.KpEvals != connected {
+					t.Errorf("%s/n=%d/par=%d: SubsetsVisited = %d, KpEvals = %d, want %d connected non-singleton subsets",
+						topo.name, n, par, c.SubsetsVisited, c.KpEvals, connected)
+				}
 			}
 		}
 	}

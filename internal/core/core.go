@@ -131,8 +131,9 @@ type Options struct {
 	// goroutines. OptimizeCtx is the convenience wrapper that sets this.
 	Ctx context.Context
 	// MemoryBudget, in bytes, rejects the run up front — before anything is
-	// allocated — when the DP table's exact footprint (TableFootprint)
-	// exceeds it, returning a *BudgetError with Phase PhaseAdmission. The
+	// allocated — when its exact footprint (TableFootprint, plus CCPFootprint
+	// when the resolved enumerator is EnumeratorCCP) exceeds it, returning a
+	// *BudgetError with Phase PhaseAdmission. The
 	// admission decision depends only on the query shape, never on whether
 	// a reused table's capacity happens to suffice, so a given query is
 	// accepted or rejected deterministically. 0 means no limit.
@@ -303,9 +304,14 @@ func OptimizeWith(t *Table, q Query, opts Options) (*Result, error) {
 	opts.Enumerator = enum
 	n := len(q.Cards)
 	// Memory admission control: reject before allocating rather than OOM
-	// after. The footprint formula is exact for the table's columns.
+	// after. The footprint formula is exact for the table's columns and
+	// bounds the CCP fill's bitmap and layer buffer.
 	if opts.MemoryBudget > 0 {
-		if fp := TableFootprint(n, q.Graph != nil, opts.model()); fp > opts.MemoryBudget {
+		fp := TableFootprint(n, q.Graph != nil, opts.model())
+		if enum == EnumeratorCCP {
+			fp += CCPFootprint(n, opts.workers() > 0)
+		}
+		if fp > opts.MemoryBudget {
 			return nil, &BudgetError{Phase: PhaseAdmission, Footprint: fp, Budget: opts.MemoryBudget}
 		}
 	}

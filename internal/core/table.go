@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -68,15 +69,15 @@ type Table struct {
 	workers []paddedCounters
 
 	// CCP fill state (Options.Enumerator == EnumeratorCCP): conn is the
-	// 2^n-bit connectivity bitmap, csg the non-singleton connected subsets
-	// sorted by (popcount, value), ccpN the relation count they were built
-	// for — −1 when stale. Reset invalidates; prepareCCP rebuilds once per
-	// query, so threshold re-passes reuse both. Under a CCP fill the slots
-	// of disconnected subsets are never written (nor read: the guarded
+	// 2^n-bit connectivity bitmap, ccpN the relation count it was built for —
+	// −1 when stale. Reset invalidates; prepareCCP rebuilds once per query,
+	// so threshold re-passes reuse it. layer holds the current rank layer's
+	// connected sets during a layer-parallel CCP pass. Under a CCP fill the
+	// slots of disconnected subsets are never written (nor read: the guarded
 	// split loop and ExtractPlan only touch connected sets).
-	conn []uint64
-	csg  []bitset.Set
-	ccpN int
+	conn  []uint64
+	layer []bitset.Set
+	ccpN  int
 }
 
 // paddedCounters separates per-worker counters onto distinct cache lines.
@@ -156,7 +157,7 @@ func (t *Table) RetainedBytes() uint64 {
 		uint64(cap(t.chunks))*8 +
 		uint64(cap(t.workers))*workerBytes +
 		uint64(cap(t.conn))*8 +
-		uint64(cap(t.csg))*8
+		uint64(cap(t.layer))*8
 }
 
 // ScratchColumns reconfigures the table for an n-relation dynamic program
@@ -325,6 +326,11 @@ func (t *Table) FillCosts(q Query, opts Options, threshold float64) Counters {
 // the pass at the next rank layer, worker chunk, or serial 1024-subset
 // stride, returning the counters accumulated so far alongside a
 // *BudgetError for the fill phase.
+//
+// Both enumerators run this one fill. The CCP fill is the blitz fill
+// restricted to connected subsets: conn is the connectivity bitmap for
+// EnumeratorCCP and nil for the blitz scan, and findBestSplit gates its pair
+// loop by it.
 func (t *Table) fillCosts(q Query, opts Options, threshold float64, bg *budget) (Counters, error) {
 	if bg.halted() {
 		return Counters{}, bg.exceeded(PhaseFill)
@@ -332,70 +338,112 @@ func (t *Table) fillCosts(q Query, opts Options, threshold float64, bg *budget) 
 	for i := 0; i < t.n; i++ {
 		t.slot[bitset.Single(i)] = Slot{}
 	}
+	var conn []uint64
 	if opts.Enumerator == EnumeratorCCP {
 		if err := t.prepareCCP(q, bg); err != nil {
 			return Counters{}, err
 		}
-		if w := opts.workers(); w > 0 {
-			return t.fillCostsCCPLayered(threshold, w, bg)
-		}
-		return t.fillCostsCCPSerial(threshold, bg)
+		conn = t.conn
 	}
 	if w := opts.workers(); w > 0 {
-		return t.fillCostsLayered(opts, threshold, w, bg)
+		return t.fillCostsLayered(opts, threshold, conn, w, bg)
 	}
+	// Numeric order (§4.2), one 64-subset bitmap word at a time: the word is
+	// all ones for the blitz scan and conn's word for CCP, so a CCP fill
+	// skips disconnected subsets a word at a time.
 	var c Counters
 	size := bitset.Set(1) << uint(t.n)
-	for s := bitset.Set(3); s < size; s++ {
-		if s&(budgetCheckStride-1) == 0 {
+	all := ^uint64(0)
+	if size < 64 {
+		all = 1<<size - 1
+	}
+	for base := bitset.Set(0); base < size; base += 64 {
+		if base&(budgetCheckStride-1) == 0 {
 			faultinject.Inject(faultinject.CoreFillLayer)
 			if bg.halted() {
 				bg.add(c.SubsetsVisited)
 				return c, bg.exceeded(PhaseFill)
 			}
 		}
-		if s.IsSingleton() {
-			continue
+		word := all
+		if conn != nil {
+			word = conn[base>>6]
 		}
-		c.SubsetsVisited++
-		t.findBestSplit(s, opts, threshold, &c)
+		for ; word != 0; word &= word - 1 {
+			s := base | bitset.Set(bits.TrailingZeros64(word))
+			if s&(s-1) == 0 {
+				continue // the empty set and singletons
+			}
+			c.SubsetsVisited++
+			t.findBestSplit(s, opts, threshold, conn, &c)
+		}
 	}
 	return c, nil
 }
 
-// fillCostsLayered is the parallel pass: rank layers k = 2 … n in turn, the
-// C(n,k) sets of each layer partitioned into contiguous Gosper-order chunks
-// handed to workers by striding, with a WaitGroup barrier between layers.
-// Each worker accumulates into its own padded Counters block; the blocks are
-// merged once at the end, so the totals are exact and contention-free.
-func (t *Table) fillCostsLayered(opts Options, threshold float64, workers int, bg *budget) (Counters, error) {
+// fillCostsLayered is the parallel pass: rank layers k = 2 … n in turn, each
+// layer's sets partitioned into contiguous chunks handed to workers by
+// striding, with a barrier between layers. The blitz scan chunks the C(n,k)
+// sets of a layer in Gosper order; CCP gathers the layer's connected sets
+// from the bitmap and chunks that list. Each worker accumulates into its own
+// padded Counters block; the blocks are merged once at the end, so the
+// totals are exact and contention-free.
+func (t *Table) fillCostsLayered(opts Options, threshold float64, conn []uint64, workers int, bg *budget) (Counters, error) {
 	if workers > len(t.workers) {
 		t.workers = make([]paddedCounters, workers)
 	}
 	for i := range t.workers {
 		t.workers[i].c = Counters{}
 	}
+	if conn != nil {
+		t.sizeLayerBuffer()
+	}
+	// A halted budget makes remaining chunks return immediately, so the
+	// layer barrier is reached within one chunk stride of the cancellation —
+	// workers park on the barrier, never leak.
+	startChunk := func(w int) *Counters {
+		if bg.halted() {
+			return nil
+		}
+		faultinject.Inject(faultinject.CoreFillChunk)
+		return &t.workers[w].c
+	}
 	for k := 2; k <= t.n; k++ {
 		faultinject.Inject(faultinject.CoreFillLayer)
 		if bg.halted() {
 			break
 		}
-		t.runLayer(k, workers, func(w int, s bitset.Set, count int) {
-			// A halted budget makes remaining chunks return immediately, so
-			// the layer barrier is reached within one chunk stride of the
-			// cancellation — workers park on the WaitGroup, never leak.
-			if bg.halted() {
+		if conn == nil {
+			t.runLayer(k, workers, func(w int, s bitset.Set, count int) {
+				c := startChunk(w)
+				if c == nil {
+					return
+				}
+				for j := 0; j < count; j++ {
+					if j&(budgetCheckStride-1) == 0 && j > 0 && bg.halted() {
+						return
+					}
+					c.SubsetsVisited++
+					t.findBestSplit(s, opts, threshold, nil, c)
+					s = bitset.NextKSubset(s)
+				}
+			})
+			continue
+		}
+		layer := t.connectedLayer(k)
+		chunk := chunkLen(len(layer), workers)
+		fanOut(workers, (len(layer)+chunk-1)/chunk, func(w, ci int) {
+			c := startChunk(w)
+			if c == nil {
 				return
 			}
-			faultinject.Inject(faultinject.CoreFillChunk)
-			c := &t.workers[w].c
-			for j := 0; j < count; j++ {
+			lo := ci * chunk
+			for j, s := range layer[lo:min(lo+chunk, len(layer))] {
 				if j&(budgetCheckStride-1) == 0 && j > 0 && bg.halted() {
 					return
 				}
 				c.SubsetsVisited++
-				t.findBestSplit(s, opts, threshold, c)
-				s = bitset.NextKSubset(s)
+				t.findBestSplit(s, opts, threshold, conn, c)
 			}
 		})
 	}
@@ -411,28 +459,32 @@ func (t *Table) fillCostsLayered(opts Options, threshold float64, workers int, b
 }
 
 // runLayer partitions rank layer k into chunks of consecutive k-subsets and
-// invokes work(worker, chunkStart, chunkLen) for every chunk, worker w
-// taking chunks w, w+workers, w+2·workers, … — a static stride schedule with
-// no per-item queue. The chunk-start slice is the only bookkeeping and is
-// reused across layers and passes. Chunks aim at 4 per worker so stragglers
-// rebalance while spawn overhead stays amortized; with one worker (or one
-// chunk) the layer runs inline on the calling goroutine.
+// invokes work(worker, chunkStart, chunkLen) for every chunk through fanOut.
+// The chunk-start slice is the only bookkeeping and is reused across layers
+// and passes.
 func (t *Table) runLayer(k, workers int, work func(w int, start bitset.Set, count int)) {
 	total := int(bitset.Binomial(t.n, k))
-	chunk := total / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := chunkLen(total, workers)
 	t.chunks = bitset.AppendKSubsetRange(t.chunks[:0], t.n, k, chunk)
-	nchunks := len(t.chunks)
-	lastLen := total - (nchunks-1)*chunk
-	if workers == 1 || nchunks == 1 {
+	fanOut(workers, len(t.chunks), func(w, ci int) {
+		work(w, t.chunks[ci], min(chunk, total-ci*chunk))
+	})
+}
+
+// chunkLen sizes a layer's chunks to aim at 4 per worker, so stragglers
+// rebalance while spawn overhead stays amortized.
+func chunkLen(total, workers int) int {
+	return max(total/(workers*4), 1)
+}
+
+// fanOut invokes work(w, ci) for every chunk ci < nchunks, worker w taking
+// chunks w, w+workers, w+2·workers, … — a static stride schedule with no
+// per-item queue — and returns once every chunk is done. With one worker (or
+// one chunk) the chunks run inline on the calling goroutine.
+func fanOut(workers, nchunks int, work func(w, ci int)) {
+	if workers == 1 || nchunks <= 1 {
 		for ci := 0; ci < nchunks; ci++ {
-			n := chunk
-			if ci == nchunks-1 {
-				n = lastLen
-			}
-			work(0, t.chunks[ci], n)
+			work(0, ci)
 		}
 		return
 	}
@@ -442,11 +494,7 @@ func (t *Table) runLayer(k, workers int, work func(w int, start bitset.Set, coun
 		go func(w int) {
 			defer wg.Done()
 			for ci := w; ci < nchunks; ci += workers {
-				n := chunk
-				if ci == nchunks-1 {
-					n = lastLen
-				}
-				work(w, t.chunks[ci], n)
+				work(w, ci)
 			}
 		}(w)
 	}
@@ -467,7 +515,12 @@ func (t *Table) runLayer(k, workers int, work func(w int, start bitset.Set, coun
 // bit-identical to the ascending scan in every mode. The serial and
 // layer-parallel fills therefore choose identical plans, not merely
 // equal-cost ones.
-func (t *Table) findBestSplit(s bitset.Set, opts Options, threshold float64, c *Counters) {
+//
+// conn is nil for the blitz scan. For EnumeratorCCP it is the connectivity
+// bitmap, s is connected, and the pair scan is connectedSplits: only splits
+// whose two halves are both connected. Everything else — κ′, the threshold
+// skip, the counters and the slot write — is shared by both enumerators.
+func (t *Table) findBestSplit(s bitset.Set, opts Options, threshold float64, conn []uint64, c *Counters) {
 	outCard := t.card[s]
 	kp := t.model.SplitIndep(outCard)
 	c.KpEvals++
@@ -504,6 +557,9 @@ func (t *Table) findBestSplit(s bitset.Set, opts Options, threshold float64, c *
 	var kppEvals, condHits uint64
 
 	switch {
+	case conn != nil:
+		best, bestLHS, iters, kppEvals, condHits = t.connectedSplits(s, outCard, best, conn)
+
 	case opts.LeftDeep:
 		iters = uint64(k)
 		// Left-deep restriction (§6.2): the right operand must be a base

@@ -231,23 +231,11 @@ func CardinalityLadder(n int, mean, variability float64) []float64 {
 // degenerate corners (e.g. all cardinalities 1, where the formula yields
 // exactly 1 anyway).
 func Build(pairs []Pair, cards []float64) *Graph {
-	g := New(len(cards))
+	n := len(cards)
+	g := New(n)
 	if len(pairs) == 0 {
 		return g
 	}
-	sels := EdgeSelectivities(pairs, cards)
-	for i, p := range pairs {
-		g.MustAddEdge(p[0], p[1], sels[i])
-	}
-	return g
-}
-
-// EdgeSelectivities computes the Appendix selectivity of each edge — the
-// formula Build assigns — without constructing a Graph, so callers past the
-// bitset.MaxRelations cap (the sparse ccp optimizer's Wide graphs) can reuse
-// the same construction. sels[i] corresponds to pairs[i].
-func EdgeSelectivities(pairs []Pair, cards []float64) []float64 {
-	n := len(cards)
 	deg := make([]int, n)
 	for _, p := range pairs {
 		deg[p[0]]++
@@ -262,8 +250,7 @@ func EdgeSelectivities(pairs []Pair, cards []float64) []float64 {
 	}
 	logMu /= float64(n)
 	k := float64(len(pairs))
-	sels := make([]float64, len(pairs))
-	for i, p := range pairs {
+	for _, p := range pairs {
 		a, b := p[0], p[1]
 		logSel := logMu/k - math.Log(cards[a])/float64(deg[a]) - math.Log(cards[b])/float64(deg[b])
 		sel := math.Exp(logSel)
@@ -273,9 +260,9 @@ func EdgeSelectivities(pairs []Pair, cards []float64) []float64 {
 		if sel <= 0 {
 			sel = math.SmallestNonzeroFloat64
 		}
-		sels[i] = sel
+		g.MustAddEdge(a, b, sel)
 	}
-	return sels
+	return g
 }
 
 // BuildUniform constructs a graph with the given edges, all carrying the same

@@ -25,9 +25,6 @@ type ExecuteRequest struct {
 	// Algorithm selects the physical join operator: "hash" (default),
 	// "sortmerge", or "nestedloops".
 	Algorithm string `json:"algorithm,omitempty"`
-	// RowEngine runs the row-at-a-time executor instead of the vectorized
-	// one — the differential baseline.
-	RowEngine bool `json:"row_engine,omitempty"`
 	// Adaptive enables mid-query re-optimization on cardinality
 	// misestimates; see blitzsplit.ExecuteOptions.
 	Adaptive bool `json:"adaptive,omitempty"`
@@ -149,7 +146,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	options = append(options, blitzsplit.WithTimeout(timeout))
 	er, err := s.eng.OptimizeAndExecute(r.Context(), q, db, blitzsplit.ExecuteOptions{
 		Algorithm:  req.Algorithm,
-		RowEngine:  req.RowEngine,
 		Adaptive:   req.Adaptive,
 		MaxRows:    req.MaxRows,
 		CollectOps: req.CollectOps,

@@ -87,9 +87,8 @@ func TestExecuteBasic(t *testing.T) {
 		t.Errorf("optimize summary degenerate: %+v", r)
 	}
 
-	// Same document on the row engine and under each algorithm: same rows.
+	// Same document under each algorithm: same rows.
 	for _, extra := range []string{
-		`"seed":7,"row_engine":true`,
 		`"seed":7,"algorithm":"sortmerge"`,
 		`"seed":7,"algorithm":"nestedloops"`,
 	} {
@@ -111,21 +110,21 @@ func TestExecuteBasic(t *testing.T) {
 		t.Error("include_plan did not return plan and executed_plan")
 	}
 
-	// Exact accounting: 5 executions, each returning `want` rows, no reopts.
-	if got := s.met.executions.Value(); got != 5 {
-		t.Errorf("executions = %d, want 5", got)
+	// Exact accounting: 4 executions, each returning `want` rows, no reopts.
+	if got := s.met.executions.Value(); got != 4 {
+		t.Errorf("executions = %d, want 4", got)
 	}
-	if got := s.met.execRows.Value(); got != uint64(5*want) {
-		t.Errorf("exec_rows = %d, want %d", got, 5*want)
+	if got := s.met.execRows.Value(); got != uint64(4*want) {
+		t.Errorf("exec_rows = %d, want %d", got, 4*want)
 	}
 	if got := s.met.execReopts.Value(); got != 0 {
 		t.Errorf("exec_reopts = %d, want 0", got)
 	}
-	if got := s.met.requests(http.StatusOK).Value(); got != 5 {
-		t.Errorf("requests{200} = %d, want 5", got)
+	if got := s.met.requests(http.StatusOK).Value(); got != 4 {
+		t.Errorf("requests{200} = %d, want 4", got)
 	}
-	if got := s.Engine().Stats().Executions; got != 5 {
-		t.Errorf("engine Executions = %d, want 5", got)
+	if got := s.Engine().Stats().Executions; got != 4 {
+		t.Errorf("engine Executions = %d, want 4", got)
 	}
 }
 

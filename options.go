@@ -190,8 +190,10 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithMemoryBudget rejects the optimization up front — before anything is
-// allocated — when the DP table's exact footprint (four 2^n-element columns;
-// see core.TableFootprint) exceeds budget bytes. Without WithDeadlineLadder
+// allocated — when its footprint exceeds budget bytes: the DP table's four
+// 2^n-element columns (core.TableFootprint), plus under the CCP enumerator
+// the 2^n-bit connectivity bitmap and, with WithParallelism, a rank-layer
+// buffer (core.CCPFootprint). Without WithDeadlineLadder
 // the rejection surfaces as a *BudgetError; with it, the ladder skips
 // straight to the bounded-memory rungs (IDP, then greedy). A plan-cache hit
 // is exempt: serving a cached plan allocates no table at all.

@@ -63,8 +63,8 @@ stress:
 		-run 'Budget|Cancel|Ladder|Leak|Deadline|Clamp|Engine|Cache|Arena|Concurrent|Canonicalizer|Enumerator|Snapshot|Quarantine|Panic' \
 		./internal/core/ ./internal/hybrid/ ./internal/plancache/ ./internal/canon/ .
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'EnumeratorAgree|CCP' \
-		./internal/check/ ./internal/ccp/
+		-run 'FuzzEnumerators|CCP' \
+		./internal/check/ ./internal/core/
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute' \
 		./internal/server/ ./internal/telemetry/ ./internal/snapshot/
@@ -142,8 +142,8 @@ bench-enumerators:
 bench-chaos:
 	$(GO) run ./cmd/blitzbench -exp chaos -chaos-json BENCH_chaos.json
 
-# Regenerate BENCH_exec.json (see EXPERIMENTS.md): the vectorized executor
-# against the row engine on identical plans and data, plus the adaptive
+# Regenerate BENCH_exec.json (see EXPERIMENTS.md): the vectorized executor's
+# throughput on an optimal n=12 chain plan, plus the adaptive
 # re-optimization skew experiment.
 bench-exec:
 	$(GO) run ./cmd/blitzbench -exp exec -exec-json BENCH_exec.json

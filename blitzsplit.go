@@ -161,8 +161,8 @@ type Schema = schema.Schema
 func NewSchema(n int) *Schema { return schema.New(n) }
 
 // Execute runs a plan against a synthesized database on the vectorized
-// columnar engine and returns the actual result cardinality. For the
-// row-at-a-time executor, per-operator statistics, or adaptive mid-query
+// columnar engine and returns the actual result cardinality. For another
+// join algorithm, per-operator statistics, or adaptive mid-query
 // re-optimization, use Engine.OptimizeAndExecute.
 func Execute(db *Database, p *Plan) (int, error) {
 	rows, err := exec.Count(db, p, exec.Options{})

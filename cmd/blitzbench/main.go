@@ -17,7 +17,7 @@
 //	blitzbench -exp hotpath            # serve hot paths: cache hit + cold fill, before/after
 //	blitzbench -exp enumerators        # 3^n scan vs csg–cmp enumerator: speedup by topology
 //	blitzbench -exp chaos              # crash safety: kill -9/corrupt/panic a real blitzd
-//	blitzbench -exp exec               # vectorized vs row execution + adaptive re-optimization
+//	blitzbench -exp exec               # vectorized execution throughput + adaptive re-optimization
 //	blitzbench -exp cluster            # 3-node sharded cluster vs single node, zipf traffic
 //	blitzbench -exp all                # everything above
 //

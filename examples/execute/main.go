@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"blitzsplit"
-	"blitzsplit/internal/engine"
 )
 
 func main() {
@@ -44,7 +43,7 @@ func main() {
 		if n.IsLeaf() {
 			return
 		}
-		actual, err := db.Count(n, engine.ExecOptions{})
+		actual, err := blitzsplit.Execute(db, n)
 		if err != nil {
 			log.Fatalf("executing %v: %v", n.Set, err)
 		}

@@ -52,18 +52,6 @@ type ExecuteOptions struct {
 	MaxReopts  int
 }
 
-func (eo ExecuteOptions) algorithm() (exec.Algorithm, error) {
-	switch eo.Algorithm {
-	case "", "hash":
-		return engine.HashJoinAlg, nil
-	case "sortmerge", "sm":
-		return engine.SortMergeAlg, nil
-	case "nestedloops", "dnl", "naive":
-		return engine.NestedLoopsAlg, nil
-	}
-	return 0, fmt.Errorf("blitzsplit: unknown join algorithm %q", eo.Algorithm)
-}
-
 // ExecuteResult is an optimization plus its execution: the embedded Result
 // describes the plan served (cache, mode, estimates), and the execution
 // fields describe what actually happened when it ran.
@@ -99,9 +87,9 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 	if db == nil {
 		return nil, fmt.Errorf("blitzsplit: nil database")
 	}
-	alg, err := eo.algorithm()
+	alg, err := engine.ParseAlgorithm(eo.Algorithm)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("blitzsplit: %w", err)
 	}
 	res, err := e.Optimize(ctx, q, options...)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"blitzsplit/internal/engine"
+	"blitzsplit/internal/check"
 	"blitzsplit/internal/faultinject"
 )
 
@@ -49,7 +49,8 @@ func skewedPair(t testing.TB) (*Query, *Database) {
 }
 
 // TestOptimizeAndExecute: the facade executes the optimized plan and the
-// vectorized row count matches the row engine under every algorithm name.
+// row count matches the plan-free count of the full join under every
+// algorithm name.
 func TestOptimizeAndExecute(t *testing.T) {
 	e := New(EngineOptions{})
 	q := execChainQuery(t, 6, 200)
@@ -57,11 +58,7 @@ func TestOptimizeAndExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Optimize(nil, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Count(res.Plan, engine.ExecOptions{})
+	want, err := check.CountRows(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestOptimizeAndExecute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", alg, err)
 		}
-		if er.Rows != int64(want) {
+		if er.Rows != want {
 			t.Errorf("%q: Rows = %d, want %d", alg, er.Rows, want)
 		}
 		if er.Exec.Rows != er.Rows || er.Exec.Joins != 5 || len(er.Exec.Ops) == 0 {
@@ -95,8 +92,9 @@ func TestOptimizeAndExecuteErrors(t *testing.T) {
 	if _, err := e.OptimizeAndExecute(nil, q, nil, ExecuteOptions{}); err == nil {
 		t.Error("nil database: no error")
 	}
-	if _, err := e.OptimizeAndExecute(nil, q, db, ExecuteOptions{Algorithm: "mergesort"}); err == nil {
-		t.Error("unknown algorithm: no error")
+	if _, err := e.OptimizeAndExecute(nil, q, db, ExecuteOptions{Algorithm: "mergesort"}); err == nil ||
+		err.Error() != `blitzsplit: unknown join algorithm "mergesort"` {
+		t.Errorf("unknown algorithm: err = %v", err)
 	}
 	if _, err := e.OptimizeAndExecute(nil, q, db, ExecuteOptions{MaxRows: 1}); !errors.Is(err, ErrRowLimit) {
 		t.Errorf("MaxRows 1: err = %v, want ErrRowLimit", err)
@@ -198,8 +196,8 @@ func TestExecutePanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestPackageExecuteVectorized: the package-level Execute convenience now
-// rides the vectorized engine and still matches the row engine.
+// TestPackageExecuteVectorized: the package-level Execute convenience rides
+// the vectorized engine and counts the full join.
 func TestPackageExecuteVectorized(t *testing.T) {
 	q := execChainQuery(t, 5, 120)
 	db, err := q.Synthesize(9)
@@ -214,11 +212,11 @@ func TestPackageExecuteVectorized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Count(res.Plan, engine.ExecOptions{})
+	want, err := check.CountRows(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("Execute = %d, row engine = %d", got, want)
+	if int64(got) != want {
+		t.Errorf("Execute = %d, CountRows = %d", got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/engine"
+	"blitzsplit/internal/exec"
 	"blitzsplit/internal/joingraph"
 	"blitzsplit/internal/workload"
 )
@@ -148,7 +149,7 @@ func TestOptimizedPlanExecutesCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optCount, err := inst.Count(res.Plan, engine.ExecOptions{})
+	optCount, err := exec.Count(inst, res.Plan, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestOptimizedPlanExecutesCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldCount, err := inst.Count(ld.Plan, engine.ExecOptions{Algorithm: engine.SortMergeAlg})
+	ldCount, err := exec.Count(inst, ld.Plan, exec.Options{Algorithm: engine.SortMergeAlg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,10 @@
 //  4. metamorphic transforms — cost-model-independent input transformations
 //     with known effect on the optimum (PermutationInvariant,
 //     SelectivityOneNeutral, ScalingMonotone);
-//  5. execution ground truth — competing plans executed on a Synthesize'd
-//     database must produce identical result counts (ExecutionAgree).
+//  5. execution ground truth — every plan executed on a Synthesize'd
+//     database, under every join algorithm and the adaptive driver, must
+//     produce the row count of the full join, counted without a plan
+//     (CountRows, ExecutionAgree).
 //
 // Verifiers that re-run the optimizer go through a Checker, whose Optimizer
 // hook exists so tests can inject deliberately broken optimizers and prove

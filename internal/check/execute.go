@@ -13,68 +13,49 @@ import (
 )
 
 // ExecutionAgree is the ground-truth verifier: join order is pure
-// optimization, so every well-formed plan over the same relations must
-// produce the same result set. It executes each plan against inst under
-// every join algorithm of BOTH executors — the row-at-a-time engine and the
-// vectorized columnar runtime (internal/exec), plus the adaptive driver with
-// a greedy re-optimizer — and fails if any execution yields a different row
-// count than the first. Plans whose execution exceeds opts.MaxRows are
-// skipped (the row limit is an engine resource guard, not a semantic
-// difference).
-func ExecutionAgree(inst *engine.Instance, opts engine.ExecOptions, plans ...*plan.Node) error {
+// optimization, so every well-formed plan over all of inst's relations must
+// produce the full join. It counts that join once with CountRows, which uses
+// no plan, then executes each plan on the vectorized executor under every
+// join algorithm, plus the adaptive driver with a greedy re-optimizer, and
+// fails if any execution yields a different row count. An execution whose
+// intermediate result exceeds maxRows (0 means the executor's default) is
+// skipped: the row limit is a resource guard, not a semantic difference.
+func ExecutionAgree(inst *engine.Instance, maxRows int, plans ...*plan.Node) error {
 	if len(plans) == 0 {
 		return fmt.Errorf("check: no plans to execute")
 	}
-	algorithms := []engine.JoinAlgorithm{engine.NestedLoopsAlg, engine.HashJoinAlg, engine.SortMergeAlg}
-	xopts := exec.Options{MaxRows: opts.MaxRows}
-	want := int64(-1)
-	agree := func(pi int, label string, got int64) error {
-		if want < 0 {
-			want = got
+	want, err := CountRows(inst)
+	if err != nil {
+		return err
+	}
+	agree := func(pi int, label string, got int64, err error) error {
+		switch {
+		case errors.Is(err, engine.ErrRowLimit):
 			return nil
-		}
-		if got != want {
-			return fmt.Errorf("check: plan %d under %s produced %d rows, earlier executions produced %d",
-				pi, label, got, want)
+		case err != nil:
+			return fmt.Errorf("check: executing plan %d under %s: %w", pi, label, err)
+		case got != want:
+			return fmt.Errorf("check: plan %d under %s produced %d rows, the full join has %d", pi, label, got, want)
 		}
 		return nil
 	}
+	opts := exec.Options{MaxRows: maxRows}
 	for pi, p := range plans {
-		for _, alg := range algorithms {
+		for _, alg := range []engine.JoinAlgorithm{engine.NestedLoopsAlg, engine.HashJoinAlg, engine.SortMergeAlg} {
 			opts.Algorithm = alg
-			opts.UsePlanAlgorithms = false
-			got, err := inst.Count(p, opts)
-			if errors.Is(err, engine.ErrRowLimit) {
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("check: executing plan %d under %v: %w", pi, alg, err)
-			}
-			if err := agree(pi, fmt.Sprintf("row %v", alg), int64(got)); err != nil {
-				return err
-			}
-			xopts.Algorithm = alg
-			vgot, err := exec.Count(inst, p, xopts)
-			if errors.Is(err, engine.ErrRowLimit) {
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("check: vectorized plan %d under %v: %w", pi, alg, err)
-			}
-			if err := agree(pi, fmt.Sprintf("vectorized %v", alg), vgot); err != nil {
+			got, err := exec.Count(inst, p, opts)
+			if err := agree(pi, alg.String(), got, err); err != nil {
 				return err
 			}
 		}
 		// The adaptive driver must be a pure scheduling change: same rows,
 		// whatever it replans.
-		res, err := exec.RunAdaptive(inst, p, xopts, exec.AdaptiveOptions{Reoptimize: greedyReopt})
-		if errors.Is(err, engine.ErrRowLimit) {
-			continue
+		res, err := exec.RunAdaptive(inst, p, opts, exec.AdaptiveOptions{Reoptimize: greedyReopt})
+		var got int64
+		if err == nil {
+			got = res.Rows
 		}
-		if err != nil {
-			return fmt.Errorf("check: adaptive plan %d: %w", pi, err)
-		}
-		if err := agree(pi, "adaptive", res.Rows); err != nil {
+		if err := agree(pi, "adaptive", got, err); err != nil {
 			return err
 		}
 	}

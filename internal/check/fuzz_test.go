@@ -247,10 +247,10 @@ func FuzzEnumerators(f *testing.F) {
 
 // FuzzExecVectorized is the executor differential: decode arbitrary bytes
 // into a query, synthesize a small instance, and demand that the vectorized
-// columnar executor, the row-at-a-time engine (all three join algorithms
-// each), and the adaptive re-optimizing driver all report bit-equal row
-// counts on the optimal and a random plan. Row-limit aborts are skipped —
-// the guard is a resource bound, not a semantic difference.
+// executor under all three join algorithms and the adaptive re-optimizing
+// driver each report CountRows' plan-free count on the optimal and a random
+// plan. Row-limit aborts are skipped — the guard is a resource bound, not a
+// semantic difference.
 //
 //	go test -fuzz=FuzzExecVectorized -fuzztime=30s ./internal/check/
 func FuzzExecVectorized(f *testing.F) {
@@ -283,7 +283,7 @@ func FuzzExecVectorized(f *testing.F) {
 		if len(plans) == 0 {
 			return
 		}
-		if err := check.ExecutionAgree(inst, engine.ExecOptions{MaxRows: 4096}, plans...); err != nil {
+		if err := check.ExecutionAgree(inst, 4096, plans...); err != nil {
 			t.Fatalf("executors disagree (n=%d): %v", len(cards), err)
 		}
 	})

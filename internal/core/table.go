@@ -98,7 +98,7 @@ func NewTable(n int, hasGraph bool, model cost.Model) *Table {
 // Reset reconfigures the table for a new query shape, reusing every backing
 // slice whose capacity suffices — repeated optimizations at similar n run
 // allocation-free instead of re-making four 2^n-element slices per query.
-// No column is zeroed: InitProperties and FillCosts overwrite every entry a
+// No column is zeroed: initProperties and fillCosts overwrite every entry a
 // pass reads, so stale values from the previous query are never observed.
 func (t *Table) Reset(n int, hasGraph bool, model cost.Model) {
 	if model == nil {
@@ -192,7 +192,7 @@ func (t *Table) Cost(s bitset.Set) float64 { return t.slot[s].Cost }
 // singletons and for sets with no plan).
 func (t *Table) BestLHS(s bitset.Set) bitset.Set { return bitset.Set(t.slot[s].BestLHS) }
 
-// InitProperties fills the cardinality, fan and memo columns for every
+// initProperties fills the cardinality, fan and memo columns for every
 // subset — the revised compute_properties of §5.4. Each non-singleton set
 // costs exactly one fan lookup-multiply and two cardinality multiplies,
 // regardless of the join graph.
@@ -204,25 +204,16 @@ func (t *Table) BestLHS(s bitset.Set) bitset.Set { return bitset.Set(t.slot[s].B
 // producing bit-identical columns. Custom estimators are exempt: they are
 // not required to be safe for concurrent StepFactor calls (Schema's
 // union-find compresses paths), so the estimator path always runs serially.
-func (t *Table) InitProperties(q Query, workers int) {
-	// The unbudgeted fill cannot fail.
-	_ = t.initProperties(q, workers, nil)
-}
-
-// initProperties is InitProperties under a cancellation budget: a halted
-// budget stops the fill at the next rank layer, worker chunk, or serial
-// 1024-subset stride and returns a *BudgetError for the properties phase.
-// A stopped table holds partial columns but remains safely resettable —
-// Reset never reads old contents, and every complete pass overwrites every
-// entry it reads.
+//
+// A halted budget stops the fill at the next rank layer, worker chunk, or
+// serial 1024-subset stride and returns a *BudgetError for the properties
+// phase. A stopped table holds partial columns but remains safely
+// resettable — Reset never reads old contents, and every complete pass
+// overwrites every entry it reads.
 func (t *Table) initProperties(q Query, workers int, bg *budget) error {
 	if bg.halted() {
 		return bg.exceeded(PhaseProperties)
 	}
-	// A new query invalidates any CCP connectivity state, even at the same n
-	// (the graph may differ). Reset also does this; repeating it here covers
-	// callers that reuse a table through InitProperties directly.
-	t.ccpN = -1
 	// init_singleton for each relation (§3.2).
 	for i := 0; i < t.n; i++ {
 		s := bitset.Single(i)
@@ -306,7 +297,7 @@ func (t *Table) initProperty(q Query, s bitset.Set) {
 	}
 }
 
-// FillCosts runs one optimization pass: find_best_split for every
+// fillCosts runs one optimization pass: find_best_split for every
 // non-singleton subset, rejecting any plan whose cost exceeds threshold. It
 // returns the pass's instrumentation counters.
 //
@@ -317,15 +308,10 @@ func (t *Table) initProperty(q Query, s bitset.Set) {
 // only on strictly-smaller-popcount sets and findBestSplit's tie-breaking is
 // deterministic (the lowest LHS among minimum-cost splits wins regardless of
 // schedule or enumeration order).
-func (t *Table) FillCosts(q Query, opts Options, threshold float64) Counters {
-	c, _ := t.fillCosts(q, opts, threshold, nil) // unbudgeted: cannot fail
-	return c
-}
-
-// fillCosts is FillCosts under a cancellation budget: a halted budget stops
-// the pass at the next rank layer, worker chunk, or serial 1024-subset
-// stride, returning the counters accumulated so far alongside a
-// *BudgetError for the fill phase.
+//
+// A halted budget stops the pass at the next rank layer, worker chunk, or
+// serial 1024-subset stride, returning the counters accumulated so far
+// alongside a *BudgetError for the fill phase.
 //
 // Both enumerators run this one fill. The CCP fill is the blitz fill
 // restricted to connected subsets: conn is the connectivity bitmap for

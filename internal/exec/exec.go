@@ -1,10 +1,9 @@
-// Package exec is the columnar execution runtime: the vectorized counterpart
-// of internal/engine's row-at-a-time executor. It runs the same bushy plan
-// trees over the same synthesized instances (engine.Instance stays the data
-// layer) but stores intermediate results column-major, joins with a presized
-// bucket-chained hash table probed in bounded batches, filters residual
-// predicates through selection vectors, and materializes output by gathering
-// match-index vectors — no per-row allocations, no string keys. Each result
+// Package exec is the columnar execution runtime. It runs bushy plan trees
+// over synthesized instances (engine.Instance is the data layer), stores
+// intermediate results column-major, joins with a presized bucket-chained
+// hash table probed in bounded batches, filters residual predicates through
+// selection vectors, and materializes output by gathering match-index
+// vectors — no per-row allocations, no string keys. Each result
 // carries only its live join keys, the columns a predicate above it still
 // reads, so the root carries none and only its row count leaves.
 //
@@ -14,8 +13,10 @@
 // than a configured ratio it re-optimizes the remaining work through a
 // caller-supplied ReoptFunc and splices the new subplan in (plan.Splice).
 //
-// Row-count semantics are bit-equal to internal/engine under every algorithm
-// — check.ExecutionAgree and FuzzExecVectorized enforce the equivalence.
+// Every plan over all of an instance's relations, under every algorithm and
+// either driver, counts the instance's full join: check.ExecutionAgree and
+// FuzzExecVectorized compare each run with check.CountRows, which counts it
+// without a plan.
 package exec
 
 import (
@@ -30,16 +31,16 @@ import (
 	"blitzsplit/internal/plan"
 )
 
-// Algorithm selects the physical join operator; it is the engine's enum so
-// the two executors share plan annotations and option plumbing.
+// Algorithm selects the physical join operator. It is engine.JoinAlgorithm,
+// whose ParseAlgorithm reads plan annotations and request names.
 type Algorithm = engine.JoinAlgorithm
 
 // DefaultBatchSize bounds how many probe rows a join processes per batch when
 // Options.BatchSize is zero.
 const DefaultBatchSize = 1024
 
-// defaultMaxRows mirrors engine.ExecOptions: the intermediate-result guard
-// applied when Options.MaxRows is zero.
+// defaultMaxRows is the intermediate-result guard applied when
+// Options.MaxRows is zero.
 const defaultMaxRows = 10_000_000
 
 // colID names a column of an intermediate result: the base relation it came
@@ -72,8 +73,8 @@ func (t *table) column(id colID) []int64 {
 	return nil
 }
 
-// Options configures execution. The zero value matches the row engine's
-// defaults: hash joins, plan annotations ignored, 10M-row guard.
+// Options configures execution. The zero value runs hash joins, ignores
+// plan annotations and guards intermediates at 10M rows.
 type Options struct {
 	// Algorithm is the default physical join operator. When UsePlanAlgorithms
 	// is set and a node carries an Algorithm annotation, the annotation wins.
@@ -157,8 +158,7 @@ type pred struct {
 
 // edgePred is a graph edge with its join-column name resolved once per
 // execution, so per-node predicate and live-column resolution is a scan over
-// E edges with no string formatting — the vectorized analogue of the row
-// engine's predScratch.
+// E edges with no string formatting.
 type edgePred struct {
 	a, b int
 	col  string
@@ -207,7 +207,7 @@ func newExecutor(inst *engine.Instance, p *plan.Node, opts Options) (*executor, 
 		for _, e := range g.Edges() {
 			col := engine.JoinColumn(e.A, e.B)
 			// A predicate whose key column either relation lacks can never be
-			// applied (the row engine skips it too), so it is no edge here.
+			// applied (check.CountRows skips it too), so it is no edge here.
 			if !hasColumn(inst, e.A, col) || !hasColumn(inst, e.B, col) {
 				continue
 			}
@@ -388,8 +388,8 @@ func (x *executor) spanning(left, right *table, lset, rset bitset.Set) []pred {
 	return x.preds
 }
 
-// appendPair records one (left-row, right-row) match, enforcing the row
-// limit with the engine's strictly-greater semantics.
+// appendPair records one (left-row, right-row) match, failing with
+// engine.ErrRowLimit once the matches exceed the row limit.
 func (x *executor) appendPair(l, r int32) error {
 	x.lidx = append(x.lidx, l)
 	x.ridx = append(x.ridx, r)

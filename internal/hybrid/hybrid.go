@@ -126,10 +126,11 @@ type IDPOptions struct {
 	// Stochastic configures the ChainedLocal polishing phase.
 	Stochastic baseline.StochasticOptions
 	// Ctx, when non-nil, bounds the run cooperatively: its cancellation or
-	// deadline is checked at every IDP round boundary (and before the
-	// ChainedLocal polishing phase), returning ctx.Err() — so a round in
-	// flight finishes, but no new round starts. Each round is 3^K-ish work,
-	// small by construction.
+	// deadline is checked at every IDP round boundary, every
+	// ctxCheckStride subsets inside a round's DP, and before the
+	// ChainedLocal polishing phase, returning ctx.Err(). A run therefore
+	// stops within one stride, not one round: at 22 units and K = 6 a round
+	// scans about 110k subsets.
 	Ctx context.Context
 	// Arena, when non-nil, supplies the bounded DP's scratch columns from a
 	// pooled core.Table instead of package-private slices. The table is
@@ -147,6 +148,10 @@ type IDPOptions struct {
 	// erroring. The default (EnumeratorBlitz) scans every bipartition.
 	Enumerator core.Enumerator
 }
+
+// ctxCheckStride is how many subsets boundedDP fills between context
+// checks, the stride core's fill uses.
+const ctxCheckStride = 1024
 
 // ctxErr reports the context's error, nil when no context is set.
 func (o IDPOptions) ctxErr() error {
@@ -195,7 +200,7 @@ func IDP(cards []float64, g *joingraph.Graph, m cost.Model, opts IDPOptions) (*R
 		if len(units) < block {
 			block = len(units)
 		}
-		best, count, err := boundedDP(units, g, m, block, opts.Enumerator, &sc)
+		best, count, err := boundedDP(opts, units, g, m, block, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -304,8 +309,9 @@ func (sc *dpScratch) unitAdjacency(units []unit, g *joingraph.Graph) ccp.Adjacen
 // boundedDP runs the blitzsplit DP over subsets of at most `block` units and
 // returns the best block-sized compound unit (or the full plan when block
 // covers every unit). Subsets are keyed by bitsets over *unit indexes*; the
-// tables live in sc and are reused across rounds.
-func boundedDP(units []unit, g *joingraph.Graph, m cost.Model, block int, enum core.Enumerator, sc *dpScratch) (unit, uint64, error) {
+// tables live in sc and are reused across rounds. It checks opts.Ctx every
+// ctxCheckStride subsets and returns its error.
+func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, block int, sc *dpScratch) (unit, uint64, error) {
 	u := len(units)
 	if u > bitset.MaxRelations {
 		return unit{}, 0, fmt.Errorf("hybrid: %d units exceed the bitset capacity", u)
@@ -318,7 +324,7 @@ func boundedDP(units []unit, g *joingraph.Graph, m cost.Model, block int, enum c
 	// cheap at block ≤ 10 and a connected unit graph always contains a
 	// connected subset of every size, so the round's winner always exists.
 	var unitAdj ccp.Adjacency
-	if enum != core.EnumeratorBlitz && g != nil {
+	if opts.Enumerator != core.EnumeratorBlitz && g != nil {
 		unitAdj = sc.unitAdjacency(units, g)
 		if !unitAdj.Connected(bitset.Full(u)) {
 			unitAdj = nil
@@ -347,6 +353,7 @@ func boundedDP(units []unit, g *joingraph.Graph, m cost.Model, block int, enum c
 		slotT[s] = core.Slot{Cost: units[i].cost}
 	}
 	var considered uint64
+	visited := 0
 	// Subsets by ascending size so halves always exist.
 	bySize := sc.bySize
 	var gen func(start int, cur bitset.Set, size int)
@@ -364,6 +371,11 @@ func boundedDP(units []unit, g *joingraph.Graph, m cost.Model, block int, enum c
 	gen(0, 0, 0)
 	for sz := 2; sz <= block; sz++ {
 		for _, s := range bySize[sz] {
+			if visited++; visited%ctxCheckStride == 0 {
+				if err := opts.ctxErr(); err != nil {
+					return unit{}, 0, err
+				}
+			}
 			// Cardinality via the unit-level fan: min unit × rest.
 			mi := s.Min()
 			rest := s.Remove(mi)
@@ -378,22 +390,33 @@ func boundedDP(units []unit, g *joingraph.Graph, m cost.Model, block int, enum c
 				slotT[s] = core.Slot{Cost: math.Inf(1)}
 				continue
 			}
+			// Each unordered split {l, s^l} is visited once, as the side l
+			// without s's highest unit, and costed in both orientations: the
+			// pair shares its table loads, its connectivity test and its
+			// pruning test, and κ′ is computed once per subset. Equal costs
+			// go to the lower LHS, the winner of an ascending scan over
+			// every LHS, so plans and costs are those of that scan.
+			kp := m.SplitIndep(card)
 			best := math.Inf(1)
 			var bestLHS bitset.Set
-			for l := s.MinSet(); l != s; l = s.NextSubset(l) {
+			low := s.Remove(s.Max())
+			for l := low.MinSet(); ; l = low.NextSubset(l) {
 				r := s ^ l
-				if unitAdj != nil && (!unitAdj.Connected(l) || !unitAdj.Connected(r)) {
-					continue
+				if unitAdj == nil || (unitAdj.Connected(l) && unitAdj.Connected(r)) {
+					considered += 2
+					lc, rc := slotT[l].Cost, slotT[r].Cost
+					if sum := lc + rc; sum <= best {
+						cl, cr := cardT[l], cardT[r]
+						if total := sum + (kp + m.SplitDep(card, cl, cr)); total < best || (total == best && l < bestLHS) {
+							best, bestLHS = total, l
+						}
+						if total := sum + (kp + m.SplitDep(card, cr, cl)); total < best || (total == best && r < bestLHS) {
+							best, bestLHS = total, r
+						}
+					}
 				}
-				considered++
-				lc, rc := slotT[l].Cost, slotT[r].Cost
-				if lc+rc >= best {
-					continue
-				}
-				total := lc + rc + cost.Total(m, card, cardT[l], cardT[r])
-				if total < best {
-					best = total
-					bestLHS = l
+				if l == low {
+					break
 				}
 			}
 			cardT[s] = card

@@ -7,6 +7,7 @@ import (
 
 	"blitzsplit"
 	"blitzsplit/internal/core"
+	"blitzsplit/internal/engine"
 	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/plan"
 )
@@ -211,10 +212,8 @@ func (s *Server) decodeExecute(r *http.Request) (*ExecuteRequest, int, error) {
 	if code, err := s.validateRequest(&req.OptimizeRequest); err != nil {
 		return nil, code, err
 	}
-	switch req.Algorithm {
-	case "", "hash", "sortmerge", "sm", "nestedloops", "dnl", "naive":
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown join algorithm %q", req.Algorithm)
+	if _, err := engine.ParseAlgorithm(req.Algorithm); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	if req.MaxRows < 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("max_rows must be ≥ 0")

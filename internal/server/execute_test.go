@@ -64,9 +64,8 @@ func wantRows(t *testing.T, n int, card float64, seed int64) int64 {
 }
 
 // TestExecuteBasic: /v1/execute answers with the actual row count — matching
-// an out-of-band run of the same synthesis — under the vectorized engine,
-// the row-engine baseline, and every algorithm name, and the exec counters
-// account for it exactly.
+// an out-of-band run of the same synthesis — under every algorithm name, and
+// the exec counters account for it exactly.
 func TestExecuteBasic(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	body := withOpts(chainBody(5, 1000), `"seed":7,"collect_ops":true`)

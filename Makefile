@@ -8,20 +8,14 @@ GO ?= go
 # Per-target budget for the fuzz smoke (the nightly deep run raises this).
 FUZZTIME ?= 10s
 
-# Allowed ns/op ratio over the checked-in BENCH_hotpath.json before
-# bench-gate fails. Generous by default: CI hosts are often single-core and
-# noisy, and allocation counts (gated with a fixed slack of 2) are the
-# stable regression signal.
-BENCH_GATE_THRESHOLD ?= 1.6
-
 # Minimum statement coverage (percent) for the packages whose correctness
 # everything else leans on.
 COVER_MIN ?= 80
 COVER_PKGS = ./internal/core ./internal/check ./internal/canon ./internal/ccp ./internal/cluster ./internal/engine ./internal/exec ./internal/plancache ./internal/retry ./internal/server ./internal/snapshot ./internal/telemetry
 
-.PHONY: ci fmt vet build test race stress bench bench-parallel bench-cache bench-serve bench-hotpath bench-enumerators bench-chaos bench-exec bench-cluster bench-gate bench-gate-soft profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
+.PHONY: ci fmt vet build test race stress bench bench-parallel bench-enumerators bench-chaos bench-exec bench-cluster profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
 
-ci: fmt vet build test race stress cover fuzz-smoke serve-smoke chaos-smoke cluster-smoke bench-gate-soft
+ci: fmt vet build test race stress cover fuzz-smoke serve-smoke chaos-smoke cluster-smoke
 
 # gofmt is the style gate: any file needing reformatting fails the build.
 fmt:
@@ -113,22 +107,6 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'ParallelFill' -benchtime=3x ./internal/core/
 
-# Regenerate the numbers behind BENCH_cache.json (see EXPERIMENTS.md): the
-# hit/cold microbenchmarks plus the served-traffic experiment.
-bench-cache:
-	$(GO) test -run '^$$' -bench 'EngineCache' -benchmem .
-	$(GO) run ./cmd/blitzbench -exp cache -quiet
-
-# Regenerate BENCH_serve.json (see EXPERIMENTS.md): closed-loop load against
-# the blitzd serving stack at several concurrency levels.
-bench-serve:
-	$(GO) run ./cmd/blitzbench -exp serve -budget 2s -serve-json BENCH_serve.json
-
-# Re-measure the serve hot paths (cache hit + cold fill at n=12) and rewrite
-# the BENCH_hotpath.json artifact with fresh "after" rows.
-bench-hotpath:
-	$(GO) run ./cmd/blitzbench -exp hotpath -quiet -hotpath-json BENCH_hotpath.json
-
 # Regenerate BENCH_enumerators.json (see EXPERIMENTS.md): the 3^n-vs-CCP
 # speedup curve by topology, about 25 s on one core. The n=25 clique
 # acceptance point is recorded as skipped; adding -enum-frontier measures it
@@ -154,31 +132,14 @@ bench-exec:
 bench-cluster:
 	$(GO) run ./cmd/blitzbench -exp cluster -budget 2s -cluster-json BENCH_cluster.json
 
-# The benchstat-style regression gate: re-measure the hot paths and compare
-# against the checked-in BENCH_hotpath.json. Fails (exit 1) when ns/op
-# regresses beyond BENCH_GATE_THRESHOLD or allocs/op beyond a slack of 2.
-bench-gate:
-	$(GO) run ./cmd/blitzbench -exp hotpath -quiet -gate BENCH_hotpath.json \
-		-gate-threshold $(BENCH_GATE_THRESHOLD)
-
-# ci runs the gate in soft mode by default: timing on shared CI hosts is too
-# noisy to block merges on, so a failure warns loudly but only fails the
-# build when BENCH_GATE_HARD=1 is exported (e.g. on a quiet benchmarking
-# host).
-bench-gate-soft:
-	@$(MAKE) bench-gate || { \
-		if [ "$(BENCH_GATE_HARD)" = "1" ]; then \
-			echo "bench-gate: FAILED (hard mode)"; exit 1; \
-		else \
-			echo "bench-gate: FAILED (soft mode — not blocking; export BENCH_GATE_HARD=1 to enforce)"; \
-		fi; }
-
-# One-stop profiling run: CPU + allocation profiles of the hotpath experiment,
-# ready for go tool pprof.
+# One-stop profiling run: CPU + allocation profiles of the engine's cache-hit
+# and cold-fill benchmarks (n = 12 star), ready for go tool pprof. Their
+# allocation counts are gated by TestEngineCacheHitAllocs and
+# TestEngineColdFillAllocs; end-to-end timing is the benchmark's -compare.
 profile:
-	$(GO) run ./cmd/blitzbench -exp hotpath -quiet \
-		-cpuprofile cpu.prof -memprofile mem.prof
-	@echo "wrote cpu.prof and mem.prof — inspect with: $(GO) tool pprof cpu.prof"
+	$(GO) test -run '^$$' -bench EngineCache -benchmem -o blitzsplit.test \
+		-cpuprofile cpu.prof -memprofile mem.prof .
+	@echo "wrote cpu.prof and mem.prof — inspect with: $(GO) tool pprof blitzsplit.test cpu.prof"
 
 # End-to-end smoke of cmd/blitzd: start it on an ephemeral port, optimize one
 # query, scrape /metrics, then shut down cleanly via SIGTERM and require

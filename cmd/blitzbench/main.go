@@ -11,10 +11,9 @@
 //	blitzbench -exp joinvscp           # §6.2: 15-way joins vs 15-way products
 //	blitzbench -exp ablate             # implementation-trick ablations
 //	blitzbench -exp baselines          # blitzsplit vs Selinger/no-CP/stochastic
+//	blitzbench -exp hybrid             # §7: exact vs greedy vs IDP vs DP+local search past exhaustive n
+//	blitzbench -exp orders             # §6.5: interesting sort orders vs the property-blind optimum
 //	blitzbench -exp parallel           # rank-layer parallel fill: speedup vs workers
-//	blitzbench -exp cache              # plan-cache serving: cold vs warm engine
-//	blitzbench -exp serve              # closed-loop load against the blitzd stack
-//	blitzbench -exp hotpath            # serve hot paths: cache hit + cold fill, before/after
 //	blitzbench -exp enumerators        # 3^n scan vs csg–cmp enumerator: speedup by topology
 //	blitzbench -exp chaos              # crash safety: kill -9/corrupt/panic a real blitzd
 //	blitzbench -exp exec               # vectorized execution throughput + adaptive re-optimization
@@ -29,18 +28,11 @@
 //	-parallel int   optimizer worker count for every experiment (0 = serial)
 //	-timeout dur    wall-time budget for the whole run; exceeding it exits 3
 //	-mem-budget b   refuse up front if the largest DP table exceeds b bytes, e.g. 64MiB (exit 3)
-//	-cache          enable the warm engine's plan cache in -exp cache (default true)
-//	-cache-bytes b  plan-cache byte budget for -exp cache (0 = engine default)
-//	-qps rate       pace the -exp serve load generator at this global rate (0 = flat out)
-//	-serve-json p   write the -exp serve measurement artifact (BENCH_serve.json) to p
-//	-hotpath-json p write the -exp hotpath measurement artifact (BENCH_hotpath.json) to p
 //	-enum-json p    write the -exp enumerators artifact (BENCH_enumerators.json) to p
 //	-chaos-json p   write the -exp chaos artifact (BENCH_chaos.json) to p
 //	-exec-json p    write the -exp exec artifact (BENCH_exec.json) to p
 //	-cluster-json p write the -exp cluster artifact (BENCH_cluster.json) to p
 //	-enum-frontier  include the -exp enumerators n=25 clique point (slow)
-//	-gate p         gate -exp hotpath against the artifact at p; regressions exit 1
-//	-gate-threshold f  allowed ns/op ratio over the gate baseline (default 1.6)
 //	-cpuprofile p   write a CPU profile of the run to p (go tool pprof)
 //	-memprofile p   write an allocation profile to p on exit
 //	-csv path       also write raw measurements as CSV
@@ -84,25 +76,18 @@ func main() {
 func runMain(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("blitzbench", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	exp := fs.String("exp", "", "experiment: fig2|fig4|fig5|fig6|table1|counts|joinvscp|ablate|baselines|parallel|cache|serve|hotpath|enumerators|chaos|exec|cluster|all")
+	exp := fs.String("exp", "", "experiment: "+strings.Join(bench.Names(), "|")+"|all")
 	n := fs.Int("n", 15, "relation count for the §6 sweeps")
 	maxN := fs.Int("maxn", 15, "largest n for fig2 and the parallel experiment")
 	parallel := fs.Int("parallel", 0, "optimizer worker count (0 = serial fill)")
 	budget := fs.Duration("budget", 200*time.Millisecond, "minimum wall time per measured point")
 	timeout := fs.Duration("timeout", 0, "wall-time budget for the whole run (0 = none); exceeding it exits 3")
 	memBudgetStr := fs.String("mem-budget", "", "byte budget for the largest DP table, e.g. 64MiB (empty = none); refusal exits 3")
-	cache := fs.Bool("cache", true, "enable the warm engine's plan cache in -exp cache")
-	cacheBytesStr := fs.String("cache-bytes", "", "plan-cache byte budget for -exp cache, e.g. 64MiB (empty = engine default)")
-	qps := fs.Float64("qps", 0, "pace the -exp serve load generator at this global request rate (0 = flat out)")
-	serveJSON := fs.String("serve-json", "", "write the -exp serve measurement artifact to this path")
-	hotpathJSON := fs.String("hotpath-json", "", "write the -exp hotpath measurement artifact to this path")
 	enumJSON := fs.String("enum-json", "", "write the -exp enumerators measurement artifact to this path")
 	enumFrontier := fs.Bool("enum-frontier", false, "include the -exp enumerators n=25 clique point (~8.5e11 split iterations; slow)")
 	chaosJSON := fs.String("chaos-json", "", "write the -exp chaos measurement artifact to this path")
 	execJSON := fs.String("exec-json", "", "write the -exp exec measurement artifact to this path")
 	clusterJSON := fs.String("cluster-json", "", "write the -exp cluster measurement artifact to this path")
-	gateJSON := fs.String("gate", "", "gate -exp hotpath against the artifact at this path; regressions exit 1")
-	gateThreshold := fs.Float64("gate-threshold", 0, "allowed ns/op ratio over the -gate baseline (0 = default 1.6)")
 	csvPath := fs.String("csv", "", "write raw measurements as CSV to this path")
 	quiet := fs.Bool("quiet", false, "suppress per-case progress")
 	version := fs.Bool("version", false, "print version and build info, then exit")
@@ -119,24 +104,14 @@ func runMain(args []string, out, errOut io.Writer) int {
 		fs.Usage()
 		return exitUsage
 	}
-	var memBudget, cacheBytes uint64
-	for _, b := range []struct {
-		flag string
-		val  string
-		dst  *uint64
-	}{
-		{"-mem-budget", *memBudgetStr, &memBudget},
-		{"-cache-bytes", *cacheBytesStr, &cacheBytes},
-	} {
-		if b.val == "" {
-			continue
-		}
-		v, err := units.ParseBytes(b.val)
+	var memBudget uint64
+	if *memBudgetStr != "" {
+		v, err := units.ParseBytes(*memBudgetStr)
 		if err != nil {
-			fmt.Fprintf(errOut, "blitzbench: %s: %v\n", b.flag, err)
+			fmt.Fprintf(errOut, "blitzbench: -mem-budget: %v\n", err)
 			return exitUsage
 		}
-		*b.dst = v
+		memBudget = v
 	}
 	// Memory admission: the biggest table any experiment will fill is for
 	// max(n, maxn) relations under the worst-case column set (join graph +
@@ -167,24 +142,17 @@ func runMain(args []string, out, errOut io.Writer) int {
 		progress = nil
 	}
 	cfg := bench.Config{
-		N:             *n,
-		MaxN:          *maxN,
-		Budget:        *budget,
-		Progress:      progress,
-		Out:           out,
-		Parallelism:   *parallel,
-		CacheBytes:    cacheBytes,
-		CacheDisabled: !*cache,
-		ServeQPS:      *qps,
-		ServeJSON:     *serveJSON,
-		HotpathJSON:   *hotpathJSON,
-		GateJSON:      *gateJSON,
-		GateThreshold: *gateThreshold,
-		EnumJSON:      *enumJSON,
-		EnumFrontier:  *enumFrontier,
-		ChaosJSON:     *chaosJSON,
-		ExecJSON:      *execJSON,
-		ClusterJSON:   *clusterJSON,
+		N:            *n,
+		MaxN:         *maxN,
+		Budget:       *budget,
+		Progress:     progress,
+		Out:          out,
+		Parallelism:  *parallel,
+		EnumJSON:     *enumJSON,
+		EnumFrontier: *enumFrontier,
+		ChaosJSON:    *chaosJSON,
+		ExecJSON:     *execJSON,
+		ClusterJSON:  *clusterJSON,
 	}
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(errOut, "blitzbench:", err)

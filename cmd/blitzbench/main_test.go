@@ -2,11 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"blitzsplit/internal/bench"
 )
 
 // The exit-code contract is what orchestration scripts react to; pin it.
@@ -16,13 +15,12 @@ func TestRunMainExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"cache experiment succeeds", []string{"-exp", "cache", "-n", "8", "-budget", "1ms", "-quiet"}, exitOK},
-		{"cache disabled still succeeds", []string{"-exp", "cache", "-n", "6", "-budget", "1ms", "-cache=false", "-quiet"}, exitOK},
+		{"table1 experiment succeeds", []string{"-exp", "table1", "-n", "8", "-budget", "1ms", "-quiet"}, exitOK},
 		{"unknown experiment", []string{"-exp", "nosuch", "-quiet"}, exitError},
 		{"missing -exp", nil, exitUsage},
 		{"bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
-		{"memory admission refusal", []string{"-exp", "cache", "-mem-budget", "1", "-quiet"}, exitBudget},
-		{"unparseable mem-budget", []string{"-exp", "cache", "-mem-budget", "12parsecs", "-quiet"}, exitUsage},
+		{"memory admission refusal", []string{"-exp", "table1", "-mem-budget", "1", "-quiet"}, exitBudget},
+		{"unparseable mem-budget", []string{"-exp", "table1", "-mem-budget", "12parsecs", "-quiet"}, exitUsage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,44 +42,24 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
-// The serve experiment must run end to end — real loopback HTTP, paced load,
-// telemetry cross-checks — and leave a well-formed measurement artifact.
-func TestServeExperimentWritesArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+// The -exp help lists every experiment bench.Run accepts, so none is
+// reachable only by reading the source.
+func TestHelpListsEveryExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-exp", "serve", "-n", "8", "-budget", "1ms", "-quiet",
-		"-qps", "2000", "-serve-json", path}
-	if got := runMain(args, &out, &errOut); got != exitOK {
-		t.Fatalf("exit %d\nstderr: %s", got, errOut.String())
+	if got := runMain([]string{"-h"}, &out, &errOut); got != exitUsage {
+		t.Fatalf("exit = %d, want %d", got, exitUsage)
 	}
-	if !strings.Contains(out.String(), "coalesced%") {
-		t.Errorf("report missing coalescing column:\n%s", out.String())
+	_, list, ok := strings.Cut(errOut.String(), "experiment: ")
+	if !ok {
+		t.Fatalf("help has no -exp experiment list:\n%s", errOut.String())
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
+	listed := map[string]bool{}
+	for _, name := range strings.Split(strings.Fields(list)[0], "|") {
+		listed[name] = true
 	}
-	var art struct {
-		Benchmark string           `json:"benchmark"`
-		Results   []map[string]any `json:"results"`
-	}
-	if err := json.Unmarshal(b, &art); err != nil {
-		t.Fatalf("artifact not JSON: %v\n%s", err, b)
-	}
-	if art.Benchmark == "" || len(art.Results) == 0 {
-		t.Errorf("degenerate artifact: %s", b)
-	}
-}
-
-func TestCacheExperimentReportsHitRate(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if got := runMain([]string{"-exp", "cache", "-n", "8", "-budget", "1ms", "-quiet"}, &out, &errOut); got != exitOK {
-		t.Fatalf("exit %d\nstderr: %s", got, errOut.String())
-	}
-	s := out.String()
-	for _, want := range []string{"warm engine:", "hit rate", "speedup"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
+	for _, name := range append(bench.Names(), "all") {
+		if !listed[name] {
+			t.Errorf("-exp help omits %q:\n%s", name, errOut.String())
 		}
 	}
 }

@@ -557,9 +557,10 @@ func TestDuplicateJoinFolding(t *testing.T) {
 
 // The serve hot path's allocation budget, asserted: once an entry is cached,
 // Optimize on the same engine must perform O(1) small allocations — the
-// relabeled plan slab, the Result, and nothing proportional to n beyond them.
-// The pooled Canonicalizer scratch and the byte-keyed cache lookup are what
-// keep WL refinement and the fingerprint off the per-hit heap.
+// relabeled plan slab, the Result, and nothing proportional to n beyond them
+// (3 allocs/op; the bound leaves a slack of 2). The pooled Canonicalizer
+// scratch, the reused cache-key buffer and the byte-keyed cache lookup are
+// what keep WL refinement and the fingerprint off the per-hit heap.
 func TestEngineCacheHitAllocs(t *testing.T) {
 	const n = 12
 	cards, edges := starQuery(n)
@@ -568,7 +569,10 @@ func TestEngineCacheHitAllocs(t *testing.T) {
 	if _, err := eng.Optimize(nil, q); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	// 1000 runs, not 100: under -race the average includes the scratch
+	// rebuilds that sync.Pool's random drops cause (see hitAllocsLimit), and
+	// a 100-run average of them is noisy enough to cross the bound.
+	allocs := testing.AllocsPerRun(1000, func() {
 		res, err := eng.Optimize(nil, q)
 		if err != nil {
 			t.Fatal(err)
@@ -577,15 +581,44 @@ func TestEngineCacheHitAllocs(t *testing.T) {
 			t.Fatal("must measure the hit path")
 		}
 	})
-	limit := 10.0
-	if raceEnabled {
-		// The race detector disables open-coded defers, so the panic-recovery
-		// defer at the Optimize boundary is one extra heap allocation per call
-		// under -race only; production builds open-code it for free.
-		limit++
+	if limit := hitAllocsLimit(); allocs > limit {
+		t.Errorf("cache hit allocated %v times per op, want ≤ %v", allocs, limit)
 	}
-	if allocs >= limit {
-		t.Errorf("cache hit allocated %v times per op, want < %v", allocs, limit)
+}
+
+// hitAllocsLimit is the allocs/op bound for a cache hit: 3 measured plus a
+// slack of 2. Under -race, sync.Pool.Put drops a random quarter of the items
+// it is given, so about one hit in four rebuilds the engine's pooled serve
+// scratch; 1000-run averages read 7–9 there, and the bound is 10.
+func hitAllocsLimit() float64 {
+	if raceEnabled {
+		return 10
+	}
+	return 5
+}
+
+// The cold fill's allocation budget, asserted: with the plan cache off and a
+// warm arena, a full n = 12 optimization takes its DP table from the arena
+// and returns it there, so it allocates only the per-call plan, result and
+// bookkeeping (28 allocs/op; the bound leaves a slack of 2). A table that is
+// not recycled costs its column allocations on every call and breaks the
+// bound. The cache-disabled path touches no sync.Pool, so the count is the
+// same under -race.
+func TestEngineColdFillAllocs(t *testing.T) {
+	const n = 12
+	cards, edges := starQuery(n)
+	eng := New(EngineOptions{DisableCache: true})
+	q := permutedQuery(t, cards, edges, identityPerm(n))
+	if _, err := eng.Optimize(nil, q); err != nil { // warm the arena
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.Optimize(nil, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 30 {
+		t.Errorf("cold fill allocated %v times per op, want ≤ 30", allocs)
 	}
 }
 

@@ -38,28 +38,6 @@ type Config struct {
 	// case (0 = the paper's serial fill). The parallel experiment sweeps
 	// its own worker counts and ignores this.
 	Parallelism int
-	// CacheBytes bounds the warm engine's plan cache in the cache-serving
-	// experiment (0 = the engine default). Ignored by other experiments.
-	CacheBytes uint64
-	// CacheDisabled runs the cache-serving experiment's "warm" engine with
-	// its cache off — the control measurement.
-	CacheDisabled bool
-	// ServeQPS paces the serving experiment's load generator at a global
-	// request rate (0 = unpaced closed loop). Ignored by other experiments.
-	ServeQPS float64
-	// ServeJSON, when nonempty, is where the serving experiment writes its
-	// BENCH_serve.json measurement artifact.
-	ServeJSON string
-	// HotpathJSON, when nonempty, is where the hotpath experiment writes its
-	// BENCH_hotpath.json measurement artifact.
-	HotpathJSON string
-	// GateJSON, when nonempty, makes the hotpath experiment compare its fresh
-	// measurements against the artifact at this path and fail on regression —
-	// the make bench-gate mode.
-	GateJSON string
-	// GateThreshold is the allowed ns/op ratio over the gate baseline
-	// (0 = the default, generous enough for noisy 1-core CI hosts).
-	GateThreshold float64
 	// EnumJSON, when nonempty, is where the enumerators experiment writes
 	// its BENCH_enumerators.json measurement artifact.
 	EnumJSON string
@@ -93,13 +71,6 @@ func (c Config) maxN() int {
 	return c.MaxN
 }
 
-func (c Config) gateThreshold() float64 {
-	if c.GateThreshold <= 0 {
-		return 1.6
-	}
-	return c.GateThreshold
-}
-
 func (c Config) out() io.Writer {
 	if c.Out == nil {
 		return os.Stdout
@@ -119,7 +90,7 @@ func (c Config) stamp(cases []workload.Case) []workload.Case {
 
 // Names lists the experiment names Run accepts, in recommended order.
 func Names() []string {
-	return []string{"table1", "fig2", "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "hybrid", "orders", "parallel", "cache", "serve", "hotpath", "enumerators", "chaos", "exec", "cluster"}
+	return []string{"table1", "fig2", "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "hybrid", "orders", "parallel", "enumerators", "chaos", "exec", "cluster"}
 }
 
 // Run executes the named experiment ("all" runs every one) and, when csvPath
@@ -160,12 +131,6 @@ func Run(name string, cfg Config, csvPath string) error {
 		err = Orders(cfg)
 	case "parallel":
 		err = Parallel(cfg)
-	case "cache":
-		err = CacheServing(cfg)
-	case "serve":
-		err = ServeLoad(cfg)
-	case "hotpath":
-		err = Hotpath(cfg)
 	case "enumerators":
 		err = Enumerators(cfg)
 	case "chaos":

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -188,7 +186,17 @@ func Chaos(cfg Config) error {
 	results = append(results, map[string]any{"case": "chaos/success_rate_pct", "value": round1(100 * success)})
 
 	if cfg.ChaosJSON != "" {
-		return writeChaosArtifact(cfg.ChaosJSON, n, len(bodies), results)
+		return writeArtifact(cfg.ChaosJSON, "blitzbench -exp chaos",
+			"go run ./cmd/blitzbench -exp chaos -chaos-json BENCH_chaos.json",
+			fmt.Sprintf("Crash-safety harness against a real blitzd subprocess: %d random "+
+				"join shapes at n=%d served across kill -9/restart cycles with plan-cache "+
+				"snapshots (warm_hit_rate_pct per cycle; cycle 0 is the cold seed), a restart "+
+				"from a deliberately corrupted snapshot (served = requests answered 200 after a "+
+				"mid-file bit flip), and a -panic-every 1 run where every cold optimization "+
+				"panics (3 recovered 500s, then quarantine answers 422). recovery_ms is process "+
+				"start to the listening announcement. success_rate_pct counts every request "+
+				"that got its expected status across all phases.", len(bodies), n),
+			results)
 	}
 	return nil
 }
@@ -300,41 +308,4 @@ func (d *chaosDaemon) sighupSnapshot() error {
 func (d *chaosDaemon) kill9() {
 	_ = d.cmd.Process.Kill()
 	_ = d.cmd.Wait()
-}
-
-// writeChaosArtifact writes the BENCH_chaos.json measurement record.
-func writeChaosArtifact(path string, n, queries int, results []map[string]any) error {
-	art := struct {
-		Benchmark  string           `json:"benchmark"`
-		Command    string           `json:"command"`
-		Date       string           `json:"date"`
-		Goos       string           `json:"goos"`
-		Goarch     string           `json:"goarch"`
-		CPU        string           `json:"cpu,omitempty"`
-		Gomaxprocs int              `json:"gomaxprocs"`
-		Note       string           `json:"note"`
-		Results    []map[string]any `json:"results"`
-	}{
-		Benchmark:  "blitzbench -exp chaos",
-		Command:    "go run ./cmd/blitzbench -exp chaos -chaos-json BENCH_chaos.json",
-		Date:       time.Now().Format("2006-01-02"),
-		Goos:       runtime.GOOS,
-		Goarch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Note: fmt.Sprintf("Crash-safety harness against a real blitzd subprocess: %d random "+
-			"join shapes at n=%d served across kill -9/restart cycles with plan-cache "+
-			"snapshots (warm_hit_rate_pct per cycle; cycle 0 is the cold seed), a restart "+
-			"from a deliberately corrupted snapshot (served = requests answered 200 after a "+
-			"mid-file bit flip), and a -panic-every 1 run where every cold optimization "+
-			"panics (3 recovered 500s, then quarantine answers 422). recovery_ms is process "+
-			"start to the listening announcement. success_rate_pct counts every request "+
-			"that got its expected status across all phases.", queries, n),
-		Results: results,
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -113,7 +110,18 @@ func Cluster(cfg Config) error {
 	}
 
 	if cfg.ClusterJSON != "" {
-		return writeClusterArtifact(cfg.ClusterJSON, n, len(bodies), cacheBudget, d, results)
+		return writeArtifact(cfg.ClusterJSON, "blitzbench -exp cluster",
+			"go run ./cmd/blitzbench -exp cluster -cluster-json BENCH_cluster.json",
+			fmt.Sprintf("Closed-loop zipf load (s=%.1f over %d shapes at n=%d) against real "+
+				"blitzd subprocesses: a single node, then a 3-node fingerprint-sharded cluster, "+
+				"every node capped at a %d-byte plan cache (a third of full pool residency, probed "+
+				"at startup). Requests spray round-robin across nodes; non-owned shapes forward "+
+				"one hop to their home shard, so cache residency is cluster-wide. "+
+				"hit_rate_pct counts client-observed cached responses; hit_coalesce_rate_pct adds "+
+				"the servers' exact coalesced-wait counters. Each nodes×concurrency cell runs a "+
+				"fresh set of processes for %v. p99_us is the client-side per-request wall "+
+				"including forwards and any 503 backoff.", zipfS, len(bodies), n, cacheBudget, d),
+			results)
 	}
 	return nil
 }
@@ -301,42 +309,4 @@ func probePoolBytes(bin string, bodies []string) (uint64, error) {
 		return 0, fmt.Errorf("bench: cluster probe: plan cache reported 0 resident bytes")
 	}
 	return b, nil
-}
-
-// writeClusterArtifact writes the BENCH_cluster.json measurement record.
-func writeClusterArtifact(path string, n, queries int, cacheBudget uint64, d time.Duration, results []map[string]any) error {
-	art := struct {
-		Benchmark  string           `json:"benchmark"`
-		Command    string           `json:"command"`
-		Date       string           `json:"date"`
-		Goos       string           `json:"goos"`
-		Goarch     string           `json:"goarch"`
-		CPU        string           `json:"cpu,omitempty"`
-		Gomaxprocs int              `json:"gomaxprocs"`
-		Note       string           `json:"note"`
-		Results    []map[string]any `json:"results"`
-	}{
-		Benchmark:  "blitzbench -exp cluster",
-		Command:    "go run ./cmd/blitzbench -exp cluster -cluster-json BENCH_cluster.json",
-		Date:       time.Now().Format("2006-01-02"),
-		Goos:       runtime.GOOS,
-		Goarch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Note: fmt.Sprintf("Closed-loop zipf load (s=%.1f over %d shapes at n=%d) against real "+
-			"blitzd subprocesses: a single node, then a 3-node fingerprint-sharded cluster, "+
-			"every node capped at a %d-byte plan cache (a third of full pool residency, probed "+
-			"at startup). Requests spray round-robin across nodes; non-owned shapes forward "+
-			"one hop to their home shard, so cache residency is cluster-wide. "+
-			"hit_rate_pct counts client-observed cached responses; hit_coalesce_rate_pct adds "+
-			"the servers' exact coalesced-wait counters. Each nodes×concurrency cell runs a "+
-			"fresh set of processes for %v. p99_us is the client-side per-request wall "+
-			"including forwards and any 503 backoff.", zipfS, queries, n, cacheBudget, d),
-		Results: results,
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

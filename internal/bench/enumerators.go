@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"blitzsplit/internal/core"
@@ -134,7 +131,17 @@ func Enumerators(cfg Config) error {
 
 	printEnumRows(w, rows)
 	if cfg.EnumJSON != "" {
-		if err := writeEnumArtifact(cfg.EnumJSON, cfg.EnumFrontier, rows); err != nil {
+		command := "go run ./cmd/blitzbench -exp enumerators -enum-json BENCH_enumerators.json"
+		if cfg.EnumFrontier {
+			command += " -enum-frontier"
+		}
+		note := "3^n split scan vs csg–cmp enumerator by topology on the (mean 1000, var 0.6) " +
+			"cardinality ladder under κsm. Quick-grid rows (n ≤ 18) are budget-averaged and carry " +
+			"the wall-clock speedup; the frontier row is a single run. loop_iters is the " +
+			"hardware-independent work measure: 3^n − 2^(n+1) + 1 for blitz, 2·(csg–cmp pairs) for " +
+			"CCP. A skipped cell records why: the n = 25 clique's ~8.5e11 split iterations run " +
+			"only with -enum-frontier."
+		if err := writeArtifact(cfg.EnumJSON, "blitzbench -exp enumerators", command, note, rows); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", cfg.EnumJSON)
@@ -181,46 +188,4 @@ func printEnumRows(w io.Writer, rows []EnumRow) {
 		fmt.Fprintf(w, "%-8s %4d %-11s %12.4f %16d %8s  %s\n",
 			r.Topology, r.N, r.Enumerator, r.Seconds, r.LoopIters, speedup, r.Status)
 	}
-}
-
-// enumArtifact is the BENCH_enumerators.json schema, mirroring the other
-// measurement artifacts.
-type enumArtifact struct {
-	Benchmark  string    `json:"benchmark"`
-	Command    string    `json:"command"`
-	Date       string    `json:"date"`
-	Goos       string    `json:"goos"`
-	Goarch     string    `json:"goarch"`
-	CPU        string    `json:"cpu,omitempty"`
-	Gomaxprocs int       `json:"gomaxprocs"`
-	Note       string    `json:"note"`
-	Results    []EnumRow `json:"results"`
-}
-
-func writeEnumArtifact(path string, frontier bool, rows []EnumRow) error {
-	command := "go run ./cmd/blitzbench -exp enumerators -enum-json BENCH_enumerators.json"
-	if frontier {
-		command += " -enum-frontier"
-	}
-	art := enumArtifact{
-		Benchmark:  "blitzbench -exp enumerators",
-		Command:    command,
-		Date:       time.Now().Format("2006-01-02"),
-		Goos:       runtime.GOOS,
-		Goarch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Note: "3^n split scan vs csg–cmp enumerator by topology on the (mean 1000, var 0.6) " +
-			"cardinality ladder under κsm. Quick-grid rows (n ≤ 18) are budget-averaged and carry " +
-			"the wall-clock speedup; the frontier row is a single run. loop_iters is the " +
-			"hardware-independent work measure: 3^n − 2^(n+1) + 1 for blitz, 2·(csg–cmp pairs) for " +
-			"CCP. A skipped cell records why: the n = 25 clique's ~8.5e11 split iterations run " +
-			"only with -enum-frontier.",
-		Results: rows,
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"blitzsplit/internal/baseline"
 	"blitzsplit/internal/core"
@@ -66,7 +62,15 @@ func Exec(cfg Config) error {
 	rows = append(rows, arows...)
 
 	if cfg.ExecJSON != "" {
-		if err := writeExecArtifact(cfg.ExecJSON, rows); err != nil {
+		note := "throughput/n=12 executes one optimal plan over a 12-relation chain of ~10^5 " +
+			"synthesized base rows on the vectorized executor; rows/s divides the rows-processed " +
+			"numerator (base scans + intermediates + output) by measured wall time. " +
+			"adaptive/skew-n=5 plans a 5-relation chain under a 4-decade " +
+			"selectivity underestimate and compares static execution of the bad plan against the " +
+			"adaptive driver re-planning mid-query; intermediate_rows is the paper-relevant cost " +
+			"of the misestimate."
+		if err := writeArtifact(cfg.ExecJSON, "blitzbench -exp exec",
+			"go run ./cmd/blitzbench -exp exec -exec-json BENCH_exec.json", note, rows); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", cfg.ExecJSON)
@@ -228,43 +232,4 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// execArtifact is the BENCH_exec.json schema, mirroring the other
-// measurement artifacts.
-type execArtifact struct {
-	Benchmark  string    `json:"benchmark"`
-	Command    string    `json:"command"`
-	Date       string    `json:"date"`
-	Goos       string    `json:"goos"`
-	Goarch     string    `json:"goarch"`
-	CPU        string    `json:"cpu,omitempty"`
-	Gomaxprocs int       `json:"gomaxprocs"`
-	Note       string    `json:"note"`
-	Results    []ExecRow `json:"results"`
-}
-
-func writeExecArtifact(path string, rows []ExecRow) error {
-	art := execArtifact{
-		Benchmark:  "blitzbench -exp exec",
-		Command:    "go run ./cmd/blitzbench -exp exec -exec-json BENCH_exec.json",
-		Date:       time.Now().Format("2006-01-02"),
-		Goos:       runtime.GOOS,
-		Goarch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Note: "throughput/n=12 executes one optimal plan over a 12-relation chain of ~10^5 " +
-			"synthesized base rows on the vectorized executor; rows/s divides the rows-processed " +
-			"numerator (base scans + intermediates + output) by measured wall time. " +
-			"adaptive/skew-n=5 plans a 5-relation chain under a 4-decade " +
-			"selectivity underestimate and compares static execution of the bad plan against the " +
-			"adaptive driver re-planning mid-query; intermediate_rows is the paper-relevant cost " +
-			"of the misestimate.",
-		Results: rows,
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -3,8 +3,6 @@
 package blitzsplit
 
 // raceEnabled reports whether this test binary was built with the race
-// detector, which disables open-coded defers — the panic-recovery defer at
-// each Engine entry point then costs one heap allocation per call that
-// production builds do not pay. Allocation-count regression tests widen
-// their bound by exactly that much.
+// detector, whose sync.Pool randomly drops pooled items; allocation-count
+// tests of pooled paths widen their bound there (see hitAllocsLimit).
 const raceEnabled = true

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"blitzsplit/internal/canon"
 	"blitzsplit/internal/plancache"
 )
 
@@ -120,12 +119,12 @@ func (e *Engine) WriteSnapshotOwned(w io.Writer, keep func(fp []byte) bool) (Sna
 }
 
 // PlanKey computes the plan-cache key and canonical fingerprint that
-// Optimize(q, options...) would use, without optimizing anything: the same
-// canonicalization, enumerator resolution, and option encoding as the serve
-// path. The cluster layer calls it to decide which node owns a request (the
-// fingerprint hashes onto the ring) and to probe or transfer the exact cache
-// entry a peer would serve from. Both returned slices are freshly allocated
-// and owned by the caller.
+// Optimize(q, options...) would use, without optimizing anything: the very
+// derivation the serve path runs. blitzd calls it once per request and uses
+// the result as the request's identity — it coalesces on the key, shards the
+// cluster ring on the fingerprint, and names the exact cache entry a peer
+// would serve from. Both returned slices are freshly allocated and owned by
+// the caller.
 func (e *Engine) PlanKey(q *Query, options ...Option) (key, fp []byte, err error) {
 	if e.cache == nil {
 		return nil, nil, ErrCacheDisabled
@@ -140,20 +139,10 @@ func (e *Engine) PlanKey(q *Query, options ...Option) (key, fp []byte, err error
 	}
 	sc := e.scratch.Get().(*serveScratch)
 	defer e.scratch.Put(sc)
-	if err := sc.canon.Canonicalize(cq, canon.Options{SelectivityQuantum: e.quantum}); err != nil {
+	if err := e.planKey(sc, cq, &cfg.opts); err != nil {
 		return nil, nil, err
 	}
-	// Mirror optimizeQuery: Auto resolves to a concrete enumerator before the
-	// key is built, so PlanKey and the serve path can never disagree on a key.
-	eligible := sc.canon.Connected() && !cfg.opts.LeftDeep &&
-		!cfg.opts.DisableNestedIfs && !cfg.opts.DescendingSubsets
-	enum, err := cfg.opts.ResolveEnumerator(eligible)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.opts.Enumerator = enum
-	fp = append([]byte(nil), sc.canon.Fingerprint()...)
-	return appendCacheKey(nil, fp, cfg.opts), fp, nil
+	return append([]byte(nil), sc.key...), append([]byte(nil), sc.canon.Fingerprint()...), nil
 }
 
 // HasPlan reports whether the cache holds an entry under key (as computed by

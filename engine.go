@@ -12,6 +12,7 @@ import (
 	"blitzsplit/internal/baseline"
 	"blitzsplit/internal/canon"
 	"blitzsplit/internal/core"
+	"blitzsplit/internal/cost"
 	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/hybrid"
 	"blitzsplit/internal/plancache"
@@ -243,26 +244,10 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 		return cfg.finish(o, names, cq), nil
 	}
 	sc := e.scratch.Get().(*serveScratch)
-	if err := sc.canon.Canonicalize(cq, canon.Options{SelectivityQuantum: e.quantum}); err != nil {
+	if err := e.planKey(sc, cq, &cfg.opts); err != nil {
 		e.scratch.Put(sc)
 		return nil, err
 	}
-	// Resolve Auto to a concrete enumerator before the key is built: CCP and
-	// blitz search different plan spaces, so the resolved strategy must be
-	// part of the cache key, and an explicit-CCP eligibility error must
-	// surface on hits exactly as a cold run would report it. Connectivity
-	// comes memoized from the canonicalization pass (no graph walk; cache
-	// hits stay allocation-free); the remaining eligibility bits mirror
-	// core's ccpEligible — the estimator case is excluded by this branch.
-	eligible := sc.canon.Connected() && !cfg.opts.LeftDeep &&
-		!cfg.opts.DisableNestedIfs && !cfg.opts.DescendingSubsets
-	enum, err := cfg.opts.ResolveEnumerator(eligible)
-	if err != nil {
-		e.scratch.Put(sc)
-		return nil, err
-	}
-	cfg.opts.Enumerator = enum
-	sc.key = appendCacheKey(sc.key[:0], sc.canon.Fingerprint(), cfg.opts)
 	// A shape that has panicked the optimizer K times is refused before the
 	// cache is consulted: a quarantined shape must never serve a stale hit or
 	// re-run the crashing search.
@@ -312,6 +297,32 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 	o.plan = canon.RelabelPlan(o.plan, cn.ToOrig)
 	e.reanchor(o, cq, cfg)
 	return cfg.finish(o, names, cq), nil
+}
+
+// planKey canonicalizes cq into the pooled scratch, resolves the enumerator
+// and appends the plan-cache key to sc.key: the one derivation of a request's
+// identity, shared by the serve path and PlanKey so the two can never
+// disagree on a key. Auto resolves to a concrete enumerator first because CCP
+// and blitz search different plan spaces, so the resolved strategy belongs in
+// the key, and an explicit-CCP eligibility error must surface on hits exactly
+// as a cold run would report it. Connectivity comes memoized from the
+// canonicalization pass (no graph walk; cache hits stay allocation-free); the
+// remaining eligibility bits mirror core's ccpEligible, whose estimator case
+// never reaches here. opts.Enumerator is overwritten with the resolved
+// strategy.
+func (e *Engine) planKey(sc *serveScratch, cq core.Query, opts *core.Options) error {
+	if err := sc.canon.Canonicalize(cq, canon.Options{SelectivityQuantum: e.quantum}); err != nil {
+		return err
+	}
+	eligible := sc.canon.Connected() && !opts.LeftDeep &&
+		!opts.DisableNestedIfs && !opts.DescendingSubsets
+	enum, err := opts.ResolveEnumerator(eligible)
+	if err != nil {
+		return err
+	}
+	opts.Enumerator = enum
+	sc.key = appendCacheKey(sc.key[:0], sc.canon.Fingerprint(), *opts)
+	return nil
 }
 
 // reanchor recomputes a canonical-query outcome's cardinalities and costs
@@ -401,7 +412,9 @@ func appendCacheKey(dst []byte, fp []byte, opts core.Options) []byte {
 	}
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(limit))
 	m := opts.Model
-	if m == nil {
+	if _, naive := m.(cost.Naive); m == nil || naive {
+		// A nil model is core's default, cost.Naive: both spellings name the
+		// same plans, so they share one entry.
 		b = append(b, "naive"...)
 	} else {
 		// The dynamic type plus its printed fields distinguish identically

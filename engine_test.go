@@ -195,6 +195,43 @@ func TestEngineCacheKeySeparatesOptions(t *testing.T) {
 	}
 }
 
+// The cache key names the cost model, not how the caller spelled it: the
+// default (nil) model and an explicit WithCostModel("naive") are one model
+// with one optimum, so they share one entry, and PlanKey agrees.
+func TestEngineCacheKeyNamesNaiveModel(t *testing.T) {
+	cards, edges := starQuery(7)
+	eng := New(EngineOptions{})
+	q := permutedQuery(t, cards, edges, identityPerm(7))
+	def, err := eng.Optimize(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := eng.Optimize(nil, q, WithCostModel("naive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !named.Cached {
+		t.Error(`WithCostModel("naive") missed the default model's entry`)
+	}
+	if math.Float64bits(named.Cost) != math.Float64bits(def.Cost) {
+		t.Errorf("cost %v, want %v", named.Cost, def.Cost)
+	}
+	if n := eng.Stats().Cache.Entries; n != 1 {
+		t.Errorf("cache entries = %d, want 1", n)
+	}
+	k1, _, err := eng.PlanKey(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, _, err := eng.PlanKey(q, WithCostModel("naive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(k1) != string(k2) {
+		t.Errorf("PlanKey differs by model spelling:\n%q\n%q", k1, k2)
+	}
+}
+
 // Estimator queries are uncacheable and must bypass the cache silently.
 func TestEngineEstimatorBypassesCache(t *testing.T) {
 	eng := New(EngineOptions{})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"blitzsplit/internal/canon"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/exec"
 )
@@ -95,9 +94,11 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 	if err != nil {
 		return nil, err
 	}
-	// The canonical cache key ties execution failures to the same shape the
-	// optimizer's quarantine uses; best-effort (empty on cache-less engines).
-	key := e.executionKey(q, options)
+	// The plan-cache key ties execution failures to the same shape the
+	// optimizer's quarantine uses, and names the entry a replan downranks.
+	// Best-effort: empty on error or when the engine has no cache.
+	bkey, _, _ := e.PlanKey(q, options...)
+	key := string(bkey)
 	er, err := e.executePlan(ctx, q, db, res, eo, alg, key, options)
 	if err != nil {
 		return nil, err
@@ -114,7 +115,7 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 		// A replan means the plan's estimates misled execution; if that plan
 		// came out of the cache, demote the entry so byte pressure evicts it
 		// before still-accurate plans.
-		if replanned && res.Cached && key != "" && e.cache != nil && e.cache.Downrank(key) {
+		if replanned && res.Cached && key != "" && e.cache.Downrank(key) {
 			e.downranks.Add(1)
 			er.Downranked = true
 		}
@@ -181,37 +182,4 @@ func (e *Engine) groupReoptimizer(ctx context.Context, options []Option) exec.Re
 		}
 		return res.Plan, nil
 	}
-}
-
-// executionKey computes the canonical cache key for the query under the
-// given options — the same bytes optimizeQuery derives on the serve path —
-// so execution panics strike, and cache downranks land on, exactly the
-// entry that served the plan. Best-effort: any failure (including a
-// cache-less engine, which has no key space) yields "".
-func (e *Engine) executionKey(q *Query, options []Option) string {
-	if e.cache == nil {
-		return ""
-	}
-	cfg, err := newConfig(options)
-	if err != nil {
-		return ""
-	}
-	cq, err := q.build()
-	if err != nil || cq.Estimator != nil {
-		return ""
-	}
-	sc := e.scratch.Get().(*serveScratch)
-	defer e.scratch.Put(sc)
-	if err := sc.canon.Canonicalize(cq, canon.Options{SelectivityQuantum: e.quantum}); err != nil {
-		return ""
-	}
-	eligible := sc.canon.Connected() && !cfg.opts.LeftDeep &&
-		!cfg.opts.DisableNestedIfs && !cfg.opts.DescendingSubsets
-	enum, err := cfg.opts.ResolveEnumerator(eligible)
-	if err != nil {
-		return ""
-	}
-	cfg.opts.Enumerator = enum
-	sc.key = appendCacheKey(sc.key[:0], sc.canon.Fingerprint(), cfg.opts)
-	return string(sc.key)
 }

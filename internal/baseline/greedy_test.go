@@ -57,13 +57,12 @@ func TestGreedyAnnotationsConsistent(t *testing.T) {
 		}
 		var g *joingraph.Graph
 		if rng.Intn(4) > 0 { // every fourth trial is a pure product
-			var pairs []joingraph.Pair
+			g = joingraph.New(n)
 			for i := 1; i < n; i++ {
 				if rng.Intn(3) > 0 {
-					pairs = append(pairs, joingraph.Pair{rng.Intn(i), i})
+					g.MustAddEdge(rng.Intn(i), i, 0.1)
 				}
 			}
-			g = joingraph.BuildUniform(n, pairs, 0.1)
 		}
 		m := cost.SortMerge{}
 		res, err := GreedyLeftDeep(cards, g, m)

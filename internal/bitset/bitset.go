@@ -147,19 +147,6 @@ func (s Set) ForEach(fn func(i int)) {
 // exactly once (m = |s|), in increasing order of contracted value γ_S(L).
 func (s Set) NextSubset(cur Set) Set { return s & (cur - s) }
 
-// Subsets returns all nonempty proper subsets of s, in NextSubset order.
-// Intended for tests and small sets; the optimizer loops in place instead.
-func (s Set) Subsets() []Set {
-	if s.IsSingleton() || s == 0 {
-		return nil
-	}
-	out := make([]Set, 0, 1<<uint(s.Count())-2)
-	for l := s.MinSet(); l != s; l = s.NextSubset(l) {
-		out = append(out, l)
-	}
-	return out
-}
-
 // NextSubsetStride is the generalized successor from the paper's footnote 3:
 // succ(δ(i)) = δ(i + k) for an arbitrary odd stride k, allowing the subsets to
 // be visited in alternative orders that better match the randomness assumption
@@ -273,11 +260,6 @@ func AppendKSubsetRange(dst []Set, n, k, chunk int) []Set {
 		}
 		s = NextKSubset(s)
 	}
-}
-
-// KSubsetRange is AppendKSubsetRange into a fresh slice.
-func KSubsetRange(n, k, chunk int) []Set {
-	return AppendKSubsetRange(nil, n, k, chunk)
 }
 
 // DescendSubset is the classic descending enumerator (L − 1) & S. Starting

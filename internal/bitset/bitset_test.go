@@ -358,19 +358,6 @@ func TestPaperIdentity5and6(t *testing.T) {
 	}
 }
 
-func TestSubsetsHelper(t *testing.T) {
-	if got := Of(3).Subsets(); got != nil {
-		t.Errorf("singleton Subsets = %v, want nil", got)
-	}
-	if got := Empty.Subsets(); got != nil {
-		t.Errorf("empty Subsets = %v, want nil", got)
-	}
-	subs := Of(0, 1, 2).Subsets()
-	if len(subs) != 6 {
-		t.Errorf("3-set has %d proper nonempty subsets, want 6", len(subs))
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := Empty.String(); got != "{}" {
 		t.Errorf("empty String = %q", got)

@@ -72,7 +72,7 @@ func TestKSubsetRangeTilesLayer(t *testing.T) {
 			want := filterKSubsets(n, k)
 			total := len(want)
 			for _, chunk := range []int{1, 2, 3, 7, total, total + 5} {
-				starts := KSubsetRange(n, k, chunk)
+				starts := AppendKSubsetRange(nil, n, k, chunk)
 				wantChunks := (total + chunk - 1) / chunk
 				if len(starts) != wantChunks {
 					t.Fatalf("n=%d k=%d chunk=%d: %d chunks, want %d", n, k, chunk, len(starts), wantChunks)
@@ -103,11 +103,11 @@ func TestKSubsetRangeTilesLayer(t *testing.T) {
 
 // TestKSubsetRangeEdges pins the degenerate inputs.
 func TestKSubsetRangeEdges(t *testing.T) {
-	if got := KSubsetRange(5, 0, 4); len(got) != 1 || got[0] != Empty {
-		t.Fatalf("KSubsetRange(5,0,4) = %v, want [∅]", got)
+	if got := AppendKSubsetRange(nil, 5, 0, 4); len(got) != 1 || got[0] != Empty {
+		t.Fatalf("AppendKSubsetRange(nil,5,0,4) = %v, want [∅]", got)
 	}
-	if got := KSubsetRange(5, 6, 4); got != nil {
-		t.Fatalf("KSubsetRange(5,6,4) = %v, want nil", got)
+	if got := AppendKSubsetRange(nil, 5, 6, 4); got != nil {
+		t.Fatalf("AppendKSubsetRange(nil,5,6,4) = %v, want nil", got)
 	}
 	// Reuse path: appending into a recycled slice must not disturb content.
 	buf := make([]Set, 0, 8)

@@ -7,12 +7,9 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 
 	"blitzsplit/internal/bitset"
 )
@@ -57,19 +54,6 @@ func FromRelations(rels []Relation) (*Catalog, error) {
 	return c, nil
 }
 
-// MustFromCardinalities builds a catalog of relations named R0, R1, … with the
-// given cardinalities. It panics on invalid input; intended for tests,
-// examples and generated workloads.
-func MustFromCardinalities(cards ...float64) *Catalog {
-	c := New()
-	for i, card := range cards {
-		if _, err := c.Add(Relation{Name: fmt.Sprintf("R%d", i), Cardinality: card}); err != nil {
-			panic(err)
-		}
-	}
-	return c
-}
-
 // Add appends a relation and returns its index.
 func (c *Catalog) Add(r Relation) (int, error) {
 	if r.Name == "" {
@@ -95,12 +79,6 @@ func (c *Catalog) Add(r Relation) (int, error) {
 
 // Len returns the number of relations.
 func (c *Catalog) Len() int { return len(c.rels) }
-
-// Relation returns the relation at index i.
-func (c *Catalog) Relation(i int) Relation { return c.rels[i] }
-
-// Cardinality returns the cardinality of relation i.
-func (c *Catalog) Cardinality(i int) float64 { return c.rels[i].Cardinality }
 
 // WidthOrDefault returns relation i's width, or DefaultWidth if unset.
 func (c *Catalog) WidthOrDefault(i int) int {
@@ -132,75 +110,4 @@ func (c *Catalog) Cardinalities() []float64 {
 		out[i] = r.Cardinality
 	}
 	return out
-}
-
-// All returns the full set {0, …, Len-1}.
-func (c *Catalog) All() bitset.Set { return bitset.Full(len(c.rels)) }
-
-// GeometricMeanCardinality returns (∏ |Ri|)^(1/n), the statistic the paper's
-// evaluation identifies as the primary cardinality determinant of
-// optimization time (§6.1). Returns 0 for an empty catalog and 0 if any
-// cardinality is 0.
-func (c *Catalog) GeometricMeanCardinality() float64 {
-	if len(c.rels) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range c.rels {
-		if r.Cardinality == 0 {
-			return 0
-		}
-		sum += math.Log(r.Cardinality)
-	}
-	return math.Exp(sum / float64(len(c.rels)))
-}
-
-// SortedByCardinality returns relation indexes ordered by ascending
-// cardinality (stable on ties). The Appendix labels relations so that R0 has
-// the lowest cardinality; this helper recovers that ordering for catalogs
-// built in a different order.
-func (c *Catalog) SortedByCardinality() []int {
-	idx := make([]int, len(c.rels))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return c.rels[idx[a]].Cardinality < c.rels[idx[b]].Cardinality
-	})
-	return idx
-}
-
-// MarshalJSON encodes the catalog as a JSON array of relations.
-func (c *Catalog) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.rels)
-}
-
-// UnmarshalJSON decodes a JSON array of relations, validating as it goes.
-func (c *Catalog) UnmarshalJSON(data []byte) error {
-	var rels []Relation
-	if err := json.Unmarshal(data, &rels); err != nil {
-		return err
-	}
-	fresh, err := FromRelations(rels)
-	if err != nil {
-		return err
-	}
-	*c = *fresh
-	return nil
-}
-
-// WriteJSON writes the catalog to w as indented JSON.
-func (c *Catalog) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}
-
-// ReadJSON reads a catalog from r.
-func ReadJSON(r io.Reader) (*Catalog, error) {
-	c := New()
-	if err := json.NewDecoder(r).Decode(c); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

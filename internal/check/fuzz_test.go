@@ -203,10 +203,10 @@ func FuzzBitset(f *testing.F) {
 		// Chunked range splitting covers the layer exactly: chunk i's first
 		// member is element i*chunk of the Gosper order.
 		chunk := 1 + int(chunkRaw)%7
-		starts := bitset.KSubsetRange(n, k, chunk)
+		starts := bitset.AppendKSubsetRange(nil, n, k, chunk)
 		want := (len(gosper) + chunk - 1) / chunk
 		if len(starts) != want {
-			t.Fatalf("KSubsetRange(n=%d,k=%d,chunk=%d) returned %d chunks, want %d",
+			t.Fatalf("AppendKSubsetRange(n=%d,k=%d,chunk=%d) returned %d chunks, want %d",
 				n, k, chunk, len(starts), want)
 		}
 		for i, st := range starts {

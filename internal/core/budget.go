@@ -12,7 +12,7 @@ import (
 )
 
 // ErrBudgetExceeded is the sentinel every budget violation wraps: deadline
-// and cancellation stops (via Options.Ctx / OptimizeCtx) and memory-admission
+// and cancellation stops (via Options.Ctx) and memory-admission
 // rejections (via Options.MemoryBudget). Match with errors.Is; the concrete
 // *BudgetError carries the phase, progress, and elapsed time.
 var ErrBudgetExceeded = errors.New("core: optimization budget exceeded")

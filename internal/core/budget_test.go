@@ -102,7 +102,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := OptimizeCtx(ctx, budgetChainQuery(18), Options{})
+	res, err := Optimize(budgetChainQuery(18), Options{Ctx: ctx})
 	elapsed := time.Since(start)
 	if res != nil {
 		t.Fatal("cancelled run returned a result")
@@ -132,7 +132,7 @@ func TestDeadlineStopsFill(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		start := time.Now()
-		res, err := OptimizeCtx(ctx, q, Options{Parallelism: workers})
+		res, err := Optimize(q, Options{Ctx: ctx, Parallelism: workers})
 		elapsed := time.Since(start)
 		cancel()
 		if res != nil {
@@ -159,7 +159,7 @@ func TestDeadlineStopsFill(t *testing.T) {
 
 // TestNoGoroutineLeakAfterCancellation hammers budget-stopped parallel runs
 // and then requires the goroutine count to settle back to its baseline:
-// neither fill workers nor budget watchers may outlive OptimizeCtx.
+// neither fill workers nor budget watchers may outlive the run.
 func TestNoGoroutineLeakAfterCancellation(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -167,7 +167,7 @@ func TestNoGoroutineLeakAfterCancellation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		if _, err := OptimizeCtx(ctx, q, Options{Parallelism: 4}); err == nil {
+		if _, err := Optimize(q, Options{Ctx: ctx, Parallelism: 4}); err == nil {
 			// A 1 ms budget occasionally suffices on a fast machine — fine;
 			// the run must just not leak either way.
 			t.Logf("iteration %d finished inside the budget", i)

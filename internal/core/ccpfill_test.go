@@ -332,7 +332,7 @@ func TestCCPContextCancel(t *testing.T) {
 	q, _ := ccpQuery(joingraph.CliqueEdges, 14)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := OptimizeCtx(ctx, q, Options{Enumerator: EnumeratorCCP, DiscardTable: true})
+	_, err := Optimize(q, Options{Ctx: ctx, Enumerator: EnumeratorCCP, DiscardTable: true})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("error = %v, want ErrBudgetExceeded", err)
 	}

@@ -128,7 +128,7 @@ type Options struct {
 	// 1024-subset stride in the serial one) and Optimize returns a
 	// *BudgetError wrapping ErrBudgetExceeded and the context's error. A
 	// stopped run leaves the Table safely resettable and leaks no
-	// goroutines. OptimizeCtx is the convenience wrapper that sets this.
+	// goroutines.
 	Ctx context.Context
 	// MemoryBudget, in bytes, rejects the run up front — before anything is
 	// allocated — when its exact footprint (TableFootprint, plus CCPFootprint
@@ -271,16 +271,6 @@ var ErrNoPlan = errors.New("core: no plan within the overflow cost limit")
 
 // Optimize runs Algorithm blitzsplit on the query.
 func Optimize(q Query, opts Options) (*Result, error) {
-	return OptimizeWith(nil, q, opts)
-}
-
-// OptimizeCtx runs Algorithm blitzsplit under the context's deadline and
-// cancellation: it is Optimize with opts.Ctx set. When the context fires
-// mid-run the fill stops cooperatively within a few thousand split loops and
-// the returned error is a *BudgetError wrapping both ErrBudgetExceeded and
-// ctx.Err().
-func OptimizeCtx(ctx context.Context, q Query, opts Options) (*Result, error) {
-	opts.Ctx = ctx
 	return OptimizeWith(nil, q, opts)
 }
 

@@ -138,8 +138,10 @@ func bruteForce(q Query, m cost.Model, leftDeep bool) float64 {
 		card := 1.0
 		s.ForEach(func(i int) { card *= q.Cards[i] })
 		if q.Graph != nil {
-			for _, e := range q.Graph.InducedEdges(s) {
-				card *= e.Selectivity
+			for _, e := range q.Graph.Edges() {
+				if s.Has(e.A) && s.Has(e.B) {
+					card *= e.Selectivity
+				}
 			}
 		}
 		return card

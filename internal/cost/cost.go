@@ -199,13 +199,6 @@ func NewMin(models ...Model) Min {
 	return Min{models: cp}
 }
 
-// Components returns the composed models.
-func (m Min) Components() []Model {
-	cp := make([]Model, len(m.models))
-	copy(cp, m.models)
-	return cp
-}
-
 // Name implements Model; e.g. "min(sortmerge,dnl)".
 func (m Min) Name() string {
 	names := make([]string, len(m.models))

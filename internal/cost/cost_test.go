@@ -109,9 +109,6 @@ func TestMinComposite(t *testing.T) {
 	if m.Name() != "min(sortmerge,dnl)" {
 		t.Errorf("Name = %q", m.Name())
 	}
-	if len(m.Components()) != 2 {
-		t.Errorf("Components = %d", len(m.Components()))
-	}
 	// Total must equal the min of the component totals.
 	cases := [][3]float64{
 		{100, 10, 10},
@@ -131,8 +128,8 @@ func TestMinComposite(t *testing.T) {
 }
 
 func TestMinTotalProperty(t *testing.T) {
-	m := NewMin(Naive{}, SortMerge{}, NewDiskNestedLoops(), NewHashJoin())
-	comps := m.Components()
+	comps := []Model{Naive{}, SortMerge{}, NewDiskNestedLoops(), NewHashJoin()}
+	m := NewMin(comps...)
 	f := func(o, l, r uint32) bool {
 		out, lc, rc := float64(o%1e7), float64(l%1e7), float64(r%1e7)
 		got := Total(m, out, lc, rc)

@@ -120,10 +120,6 @@ func (g *Graph) Edges() []Edge {
 // NumEdges returns the number of predicates.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Degree returns the number of predicates incident on relation i (the
-// Appendix's k_i).
-func (g *Graph) Degree(i int) int { return g.adj[i].Count() }
-
 // Neighbors returns the set of relations sharing a predicate with i.
 func (g *Graph) Neighbors(i int) bitset.Set { return g.adj[i] }
 
@@ -133,18 +129,6 @@ func (g *Graph) NeighborsOfSet(s bitset.Set) bitset.Set {
 	var out bitset.Set
 	s.ForEach(func(i int) { out |= g.adj[i] })
 	return out.Diff(s)
-}
-
-// InducedEdges returns the edges of the subgraph induced by s (§5.1): those
-// with both endpoints in s.
-func (g *Graph) InducedEdges(s bitset.Set) []Edge {
-	var out []Edge
-	for _, e := range g.edges {
-		if s.Has(e.A) && s.Has(e.B) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // SpanProduct is Π_span(U, V) of equation (8): the product of selectivities of
@@ -200,27 +184,6 @@ func (g *Graph) Connected(s bitset.Set) bool {
 		frontier = next
 	}
 	return reached == s
-}
-
-// ConnectedComponents returns the connected components of the subgraph
-// induced by s, ordered by their minimum member.
-func (g *Graph) ConnectedComponents(s bitset.Set) []bitset.Set {
-	var comps []bitset.Set
-	rest := s
-	for !rest.IsEmpty() {
-		seed := rest.MinSet()
-		comp := seed
-		for {
-			next := g.NeighborsOfSet(comp).Intersect(rest).Diff(comp)
-			if next.IsEmpty() {
-				break
-			}
-			comp = comp.Union(next)
-		}
-		comps = append(comps, comp)
-		rest = rest.Diff(comp)
-	}
-	return comps
 }
 
 // Validate checks internal consistency (used after JSON decoding).

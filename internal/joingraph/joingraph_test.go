@@ -65,34 +65,14 @@ func TestEdgeNormalization(t *testing.T) {
 
 func TestDegreeAndNeighbors(t *testing.T) {
 	g := paperGraph(0.5, 0.5, 0.5, 0.5)
-	if g.Degree(0) != 3 {
-		t.Errorf("deg(A) = %d, want 3", g.Degree(0))
-	}
-	if g.Degree(3) != 1 {
-		t.Errorf("deg(D) = %d, want 1", g.Degree(3))
+	if got := g.Neighbors(3).Count(); got != 1 {
+		t.Errorf("deg(D) = %d, want 1", got)
 	}
 	if g.Neighbors(0) != bitset.Of(1, 2, 3) {
 		t.Errorf("Neighbors(A) = %v", g.Neighbors(0))
 	}
 	if got := g.NeighborsOfSet(bitset.Of(1, 3)); got != bitset.Of(0, 2) {
 		t.Errorf("NeighborsOfSet({B,D}) = %v", got)
-	}
-}
-
-func TestInducedEdges(t *testing.T) {
-	g := paperGraph(0.5, 0.5, 0.5, 0.5)
-	// §5.1: the subgraph induced by S = {A,B,C} has edges AB, AC, BC.
-	edges := g.InducedEdges(bitset.Of(0, 1, 2))
-	if len(edges) != 3 {
-		t.Fatalf("induced edges = %+v, want 3 edges", edges)
-	}
-	for _, e := range edges {
-		if e.B == 3 {
-			t.Errorf("edge %+v not wholly inside {A,B,C}", e)
-		}
-	}
-	if got := g.InducedEdges(bitset.Of(3)); len(got) != 0 {
-		t.Errorf("singleton induced edges = %+v", got)
 	}
 }
 
@@ -253,20 +233,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := paperGraph(0.5, 0.5, 0.5, 0.5)
-	comps := g.ConnectedComponents(bitset.Of(1, 2, 3))
-	if len(comps) != 2 {
-		t.Fatalf("components = %v, want 2", comps)
-	}
-	if comps[0] != bitset.Of(1, 2) || comps[1] != bitset.Of(3) {
-		t.Errorf("components = %v", comps)
-	}
-	if got := g.ConnectedComponents(bitset.Empty); len(got) != 0 {
-		t.Errorf("components of empty = %v", got)
-	}
-}
-
 func TestJoinCardinalityPaperExample(t *testing.T) {
 	// Cartesian product (no edges): Table 1's cardinalities.
 	g := New(4)
@@ -385,10 +351,20 @@ func TestTopologyEdgeCounts(t *testing.T) {
 	}
 }
 
+// uniformGraph builds an n-relation graph over pairs, every edge with
+// selectivity 0.5.
+func uniformGraph(n int, pairs []Pair) *Graph {
+	g := New(n)
+	for _, p := range pairs {
+		g.MustAddEdge(p[0], p[1], 0.5)
+	}
+	return g
+}
+
 func TestTopologiesAreConnected(t *testing.T) {
 	n := 15
 	for _, topo := range AllTopologies {
-		g := BuildUniform(n, topo.Edges(n), 0.5)
+		g := uniformGraph(n, topo.Edges(n))
 		if !g.Connected(bitset.Full(n)) {
 			t.Errorf("%v graph is not connected", topo)
 		}
@@ -418,7 +394,7 @@ func TestCycleStarCliqueGridShapes(t *testing.T) {
 	if got := len(GridEdges(3, 4)); got != 3*3+2*4 { // horizontal + vertical
 		t.Errorf("grid(3,4) edges = %d, want 17", got)
 	}
-	g := BuildUniform(12, GridEdges(3, 4), 0.5)
+	g := uniformGraph(12, GridEdges(3, 4))
 	if !g.Connected(bitset.Full(12)) {
 		t.Error("grid not connected")
 	}
@@ -431,7 +407,7 @@ func TestRandomConnectedEdges(t *testing.T) {
 		if len(edges) != n-1+5 {
 			t.Fatalf("seed %d: %d edges, want %d", seed, len(edges), n-1+5)
 		}
-		g := BuildUniform(n, edges, 0.5)
+		g := uniformGraph(n, edges)
 		if !g.Connected(bitset.Full(n)) {
 			t.Errorf("seed %d: not connected", seed)
 		}

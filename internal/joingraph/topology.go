@@ -265,16 +265,6 @@ func Build(pairs []Pair, cards []float64) *Graph {
 	return g
 }
 
-// BuildUniform constructs a graph with the given edges, all carrying the same
-// selectivity. Useful for hand-built tests and examples.
-func BuildUniform(n int, pairs []Pair, selectivity float64) *Graph {
-	g := New(n)
-	for _, p := range pairs {
-		g.MustAddEdge(p[0], p[1], selectivity)
-	}
-	return g
-}
-
 // Topology enumerates the evaluation topologies of §6.1.
 type Topology int
 

@@ -1,16 +1,14 @@
 package server
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
-	"blitzsplit"
 	"blitzsplit/internal/cluster"
-	"blitzsplit/internal/faultinject"
 )
 
 // MaxBatchQueries bounds one POST /v1/optimize/batch request.
@@ -42,39 +40,16 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-// batchItem is one decoded query flowing through the batch spine.
+// batchItem is one resolved query flowing through the batch spine.
 type batchItem struct {
-	idx   int
-	req   *OptimizeRequest
-	q     *blitzsplit.Query
-	key   string // flight key
-	fpHex string
+	idx int
+	c   *call
 }
 
-// handleBatch is the batch spine: decode → validate each query → group by
-// owning shard → serve local groups / forward remote groups concurrently →
-// reassemble in request order.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	defer func() { s.met.latency.Observe(s.cfg.Now().Sub(start)) }()
-	defer func() {
-		if v := recover(); v != nil {
-			s.handlerPanics.Add(1)
-			s.met.panics.Inc()
-			s.fail(w, http.StatusInternalServerError, "internal error: %v", v)
-		}
-	}()
-	faultinject.Inject(faultinject.ServerRequest)
-
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.met.shed.Inc()
-		s.fail(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
+// handleBatch is the batch spine: decode → validate and identify each query
+// → group by owning shard → serve local groups / forward remote groups
+// concurrently → reassemble in request order.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, _ time.Time) {
 	var batch BatchRequest
 	if code, err := s.readJSON(r, &batch); err != nil {
 		s.fail(w, code, "%v", err)
@@ -104,20 +79,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = BatchResult{Error: err.Error(), Code: code}
 			continue
 		}
-		q, cq, err := s.buildQuery(req)
+		c, err := s.resolve(req)
 		if err != nil {
 			results[i] = BatchResult{Error: err.Error(), Code: http.StatusBadRequest}
 			continue
 		}
-		key, fp := s.flightKey(cq, req)
-		item := batchItem{idx: i, req: req, q: q, key: key, fpHex: hex.EncodeToString(fp)}
 		ownerID := ""
-		if s.cluster != nil && !forwarded {
-			if owner := s.cluster.ring.Owner(fp); owner.ID != "" && owner.ID != s.cluster.self.ID && owner.URL != "" {
+		if s.cluster != nil && !forwarded && c.fp != nil {
+			if owner := s.cluster.ring.Owner(c.fp); owner.ID != "" && owner.ID != s.cluster.self.ID && owner.URL != "" {
 				ownerID = owner.ID
 			}
 		}
-		groups[ownerID] = append(groups[ownerID], item)
+		groups[ownerID] = append(groups[ownerID], batchItem{idx: i, c: c})
 	}
 
 	// One goroutine per owner group: local queries run through the ordinary
@@ -160,13 +133,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // sequentially, filling results at their original indices.
 func (s *Server) serveBatchLocal(r *http.Request, items []batchItem, results []BatchResult) {
 	for _, it := range items {
-		qstart := s.cfg.Now()
-		resp, serr := s.optimizeLocal(r.Context(), it.req, it.q, it.key, qstart)
+		resp, serr := s.optimizeLocal(r.Context(), it.c, time.Now())
 		if serr != nil {
 			results[it.idx] = BatchResult{Error: serr.msg, Kind: serr.kind, Code: serr.code}
 			continue
 		}
-		resp.Fingerprint = it.fpHex
 		results[it.idx] = BatchResult{Result: &resp}
 	}
 }
@@ -186,7 +157,7 @@ func (s *Server) forwardBatch(r *http.Request, ownerID string, items []batchItem
 	}
 	sub := BatchRequest{Queries: make([]OptimizeRequest, len(items))}
 	for i, it := range items {
-		sub.Queries[i] = *it.req
+		sub.Queries[i] = *it.c.req
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blitzsplit"
 	"blitzsplit/internal/cluster"
 	"blitzsplit/internal/retry"
 	"blitzsplit/internal/telemetry"
@@ -58,7 +57,9 @@ type clusterState struct {
 
 func newClusterState(s *Server, cfg Config) *clusterState {
 	cs := &clusterState{
-		ring:        cluster.NewRing(cfg.Peers, cfg.VirtualNodes),
+		// 0 selects the ring's default of cluster.DefaultVirtualNodes points
+		// per node.
+		ring:        cluster.NewRing(cfg.Peers, 0),
 		forwarded:   make(map[string]*atomic.Uint64),
 		forwardErrs: make(map[string]*atomic.Uint64),
 	}
@@ -82,7 +83,7 @@ func newClusterState(s *Server, cfg Config) *clusterState {
 		cs.forwarded[n.ID] = new(atomic.Uint64)
 		cs.forwardErrs[n.ID] = new(atomic.Uint64)
 	}
-	cs.register(cfg.Registry)
+	cs.register(s.met.reg)
 	return cs
 }
 
@@ -154,45 +155,43 @@ func (s *Server) clusterGo(f func()) {
 	}()
 }
 
-// routeOptimize decides where a decoded /v1/optimize request is served.
+// routeOptimize decides where a resolved /v1/optimize request is served.
 //
 //	routed true          — the owner's response has been relayed; done.
 //	pushTo non-nil       — owner unreachable: caller serves locally, then
-//	                       pushes the resulting plan to pushTo (ekey is the
-//	                       engine cache key to export).
+//	                       pushes the resulting plan (c.key) to pushTo.
 //	both zero            — serve locally (self-owned, already-forwarded,
-//	                       or warm local copy).
-func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *OptimizeRequest, q *blitzsplit.Query, fp []byte) (routed bool, pushTo *cluster.Node, ekey []byte) {
+//	                       warm local copy, or no key).
+func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, c *call) (routed bool, pushTo *cluster.Node) {
 	cs := s.cluster
 	if r.Header.Get(cluster.HeaderForwarded) != "" {
 		// One hop maximum: a forwarded request is served here no matter what
 		// this node's ring says, so disagreeing rings can never loop.
 		cs.received.Add(1)
-		return false, nil, nil
+		return false, nil
 	}
-	owner := cs.ring.Owner(fp)
+	if c.key == nil {
+		// PlanKey failed: the local spine reports the error properly; routing
+		// has nothing to add.
+		return false, nil
+	}
+	owner := cs.ring.Owner(c.fp)
 	if owner.ID == cs.self.ID || owner.ID == "" || owner.URL == "" {
 		cs.ownedLocal.Add(1)
-		return false, nil, nil
+		return false, nil
 	}
-	// The engine cache key decides warm-copy serving and names the entry in
-	// every peer-fill exchange. PlanKey mirrors the serve path exactly.
-	ekey, _, err := s.eng.PlanKey(q, s.serveOptions(req)...)
-	if err != nil {
-		// Cache disabled or an eligibility error the local spine will report
-		// properly; routing has nothing to add.
-		return false, nil, nil
-	}
-	if s.eng.HasPlan(ekey) {
+	// The plan-cache key decides warm-copy serving and names the entry in
+	// every peer-fill exchange.
+	if s.eng.HasPlan(c.key) {
 		// A hot shape replicated here by an earlier cheap fill: serve the
 		// warm copy without a network hop. The owner remains the coalescing
 		// point for cold optimizations only.
 		cs.warmLocal.Add(1)
-		return false, nil, nil
+		return false, nil
 	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(c.req)
 	if err != nil {
-		return false, nil, nil
+		return false, nil
 	}
 	fresp, err := cs.client.Forward(r.Context(), owner, "/v1/optimize", "application/json", body)
 	if err != nil {
@@ -201,7 +200,7 @@ func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *Opti
 		// owner is warm when it returns.
 		cs.forwardErrs[owner.ID].Add(1)
 		cs.fallbackLocal.Add(1)
-		return false, &owner, ekey
+		return false, &owner
 	}
 	defer fresp.Body.Close()
 	relay, err := io.ReadAll(fresp.Body)
@@ -211,7 +210,7 @@ func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *Opti
 		// point of view. Serve locally rather than relay the refusal.
 		cs.forwardErrs[owner.ID].Add(1)
 		cs.fallbackLocal.Add(1)
-		return false, &owner, ekey
+		return false, &owner
 	}
 	cs.forwarded[owner.ID].Add(1)
 	for _, h := range []string{"Content-Type", "Retry-After", HeaderFingerprint} {
@@ -223,9 +222,9 @@ func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *Opti
 	_, _ = w.Write(relay)
 	s.met.requests(fresp.StatusCode).Inc()
 	if fresp.StatusCode == http.StatusOK {
-		s.asyncFetchPlan(owner, ekey)
+		s.asyncFetchPlan(owner, c.key)
 	}
-	return true, nil, nil
+	return true, nil
 }
 
 // asyncFetchPlan pulls the (now cached) plan from the owner in the

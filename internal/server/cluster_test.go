@@ -375,6 +375,14 @@ func TestBatchValidationAndOrdering(t *testing.T) {
 	if br.Results[1].Result != nil || br.Results[1].Code == 0 {
 		t.Fatalf("invalid query did not fail inline: %+v", br.Results[1])
 	}
+	get, err := http.Get(ts.URL + "/v1/optimize/batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET status = %d, want 405", get.StatusCode)
+	}
 }
 
 // TestClusterStatusEndpoint sanity-checks /v1/cluster/status and the

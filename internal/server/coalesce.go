@@ -9,8 +9,8 @@ import "sync"
 // its own Engine.Optimize, which the plan cache serves in microseconds,
 // relabeled to the follower's own relation numbering. That keeps coalescing
 // correct even when two isomorphic-but-differently-labeled queries share a
-// canonical fingerprint, and keeps every response bit-identical to a cold
-// run of the same request.
+// plan-cache key, and keeps every response bit-identical to a cold run of
+// the same request.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]chan struct{}

@@ -1,14 +1,12 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"blitzsplit"
-	"blitzsplit/internal/core"
 	"blitzsplit/internal/engine"
-	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/plan"
 )
 
@@ -63,29 +61,9 @@ type ExecuteResponse struct {
 // handleExecute is the execute spine: decode → validate → admit →
 // synthesize → optimize-and-execute → respond. Execution requests never
 // coalesce — each synthesizes and runs its own data — but they pass the same
-// admission gate as cold optimizations, and the plan cache still dedupes the
-// optimization underneath. The same panic boundary as /v1/optimize applies.
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	defer func() { s.met.latency.Observe(s.cfg.Now().Sub(start)) }()
-	defer func() {
-		if v := recover(); v != nil {
-			s.handlerPanics.Add(1)
-			s.met.panics.Inc()
-			s.fail(w, http.StatusInternalServerError, "internal error: %v", v)
-		}
-	}()
-	faultinject.Inject(faultinject.ServerRequest)
-
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.met.shed.Inc()
-		s.fail(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
+// admission gate as cold optimizations, run under the same options as
+// /v1/optimize, and the plan cache still dedupes the optimization underneath.
+func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, start time.Time) {
 	req, code, err := s.decodeExecute(r)
 	if err != nil {
 		s.fail(w, code, "%v", err)
@@ -103,48 +81,24 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			"query synthesizes %.0f base rows, server limit is %.0f", synthRows, s.cfg.MaxSynthRows)
 		return
 	}
-
-	q := blitzsplit.NewQuery()
-	for _, rel := range req.Relations {
-		if err := q.AddRelation(rel.Name, rel.Cardinality); err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	for _, j := range req.Joins {
-		if err := q.Join(j.A, j.B, j.Selectivity); err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	options := []blitzsplit.Option{
-		blitzsplit.WithDeadlineLadder(),
-		blitzsplit.WithMemoryBudget(s.cfg.MemBudget),
-		blitzsplit.WithEnumerator(s.cfg.Enumerator),
-	}
-	if req.Model != "" {
-		options = append(options, blitzsplit.WithCostModel(req.Model))
-	}
-	if req.LeftDeep {
-		options = append(options, blitzsplit.WithLeftDeep())
+	q, err := buildQuery(&req.OptimizeRequest)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	timeout := s.effectiveTimeout(&req.OptimizeRequest, len(s.inflight))
-
-	if !s.admit(r.Context()) {
-		s.met.shed.Inc()
-		s.fail(w, http.StatusServiceUnavailable,
-			"over capacity: %d optimizations in flight", s.cfg.MaxInFlight)
+	if serr := s.admit(r.Context()); serr != nil {
+		s.failServe(w, serr)
 		return
 	}
 	defer func() { <-s.inflight }()
-	s.met.optimizations.Inc()
 
 	db, err := q.Synthesize(req.Seed)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "synthesize: %v", err)
 		return
 	}
-	options = append(options, blitzsplit.WithTimeout(timeout))
+	options := append(s.serveOptions(&req.OptimizeRequest), blitzsplit.WithTimeout(timeout))
 	er, err := s.eng.OptimizeAndExecute(r.Context(), q, db, blitzsplit.ExecuteOptions{
 		Algorithm:  req.Algorithm,
 		Adaptive:   req.Adaptive,
@@ -152,25 +106,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		CollectOps: req.CollectOps,
 	}, options...)
 	if err != nil {
-		var ie *blitzsplit.InternalError
-		if errors.As(err, &ie) {
-			s.met.panics.Inc()
-		}
-		code, kind := http.StatusInternalServerError, ""
-		switch {
-		case errors.Is(err, blitzsplit.ErrRowLimit):
-			// The data outgrew the execution guard: a property of the
-			// request, typed so clients can raise max_rows deliberately.
-			code, kind = http.StatusUnprocessableEntity, "row_limit"
-			s.met.execRowLimit.Inc()
-		case errors.Is(err, core.ErrNoPlan),
-			errors.Is(err, blitzsplit.ErrEnumeratorUnsupported),
-			errors.Is(err, blitzsplit.ErrQuarantined):
-			code = http.StatusUnprocessableEntity
-		case errors.Is(err, core.ErrBudgetExceeded):
-			code = http.StatusServiceUnavailable
-		}
-		s.failKind(w, code, kind, "%v", err)
+		s.failServe(w, s.classify(err))
 		return
 	}
 	if er.Degraded {
@@ -191,7 +127,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		Exec:        er.Exec,
 		Reopts:      er.Reopts,
 		Downranked:  er.Downranked,
-		ElapsedUS:   s.cfg.Now().Sub(start).Microseconds(),
+		ElapsedUS:   time.Since(start).Microseconds(),
 	}
 	if req.IncludePlan {
 		resp.Plan = er.Plan

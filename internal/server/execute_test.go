@@ -14,16 +14,7 @@ import (
 
 func postExecute(t *testing.T, base, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/execute", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/execute: %v", err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read response: %v", err)
-	}
-	return resp.StatusCode, b
+	return postPath(t, base, "/v1/execute", body)
 }
 
 func decodeExecuteResponse(t *testing.T, b []byte) ExecuteResponse {
@@ -233,6 +224,24 @@ func TestExecuteErrors(t *testing.T) {
 	s.BeginDrain()
 	if code, _ := postExecute(t, ts.URL, chainBody(2, 100)); code != http.StatusServiceUnavailable {
 		t.Errorf("execute during drain = %d, want 503", code)
+	}
+}
+
+// TestExecuteAfterOptimizeIsCached: /v1/execute runs under the same options
+// as /v1/optimize, so a document optimized first executes the plan that the
+// optimize request cached.
+func TestExecuteAfterOptimizeIsCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := withOpts(chainBody(5, 3000), `"model":"dnl","left_deep":true`)
+	if code, b := postOptimize(t, ts.URL, body); code != http.StatusOK {
+		t.Fatalf("optimize status = %d: %s", code, b)
+	}
+	code, b := postExecute(t, ts.URL, withOpts(body, `"seed":3`))
+	if code != http.StatusOK {
+		t.Fatalf("execute status = %d: %s", code, b)
+	}
+	if r := decodeExecuteResponse(t, b); !r.Cached {
+		t.Errorf("execute after optimize missed the plan cache: %s", b)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"strconv"
 	"sync"
+	"time"
 
 	"blitzsplit"
 	"blitzsplit/internal/telemetry"
@@ -107,7 +108,7 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metrics {
 			if st.LastSnapshot.At.IsZero() {
 				return -1
 			}
-			return s.cfg.Now().Sub(st.LastSnapshot.At).Seconds()
+			return time.Since(st.LastSnapshot.At).Seconds()
 		})
 	reg.GaugeFunc("blitzd_snapshot_last_entries", "",
 		"Plan-cache entries written by the last snapshot.",

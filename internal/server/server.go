@@ -4,10 +4,11 @@
 //
 // Three mechanisms keep it standing under heavy traffic:
 //
-//   - Coalescing: concurrent identical queries singleflight on the canonical
-//     fingerprint (internal/canon). One leader pays the cold optimization;
-//     every follower waits for it and is then served from the plan cache in
-//     microseconds — N callers, one 3^n search.
+//   - Coalescing: concurrent identical queries singleflight on the engine's
+//     plan-cache key (Engine.PlanKey: the canonical fingerprint plus the
+//     options that change which plan wins). One leader pays the cold
+//     optimization; every follower waits for it and is then served from the
+//     plan cache in microseconds — N callers, one 3^n search.
 //
 //   - Admission control: cold optimizations pass through a bounded in-flight
 //     semaphore, and every request carries a memory budget tied to the
@@ -37,14 +38,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"blitzsplit"
 	"blitzsplit/internal/bitset"
-	"blitzsplit/internal/canon"
 	"blitzsplit/internal/cluster"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
@@ -55,9 +54,10 @@ import (
 )
 
 // HeaderFingerprint carries the query's canonical fingerprint (hex) on every
-// /v1/optimize response: the exact identity the plan cache, coalescing, and
-// the cluster ring all key on. Two requests with the same value are the same
-// query shape under relabeling and are guaranteed the same plan.
+// /v1/optimize response: the fingerprint inside the engine's plan-cache key,
+// which coalescing and the cluster ring also key on. Two requests with the
+// same value are the same query shape under relabeling and, under the same
+// options, are guaranteed the same plan.
 const HeaderFingerprint = "X-Blitz-Fingerprint"
 
 // Defaults applied by New for zero-valued Config fields.
@@ -74,11 +74,10 @@ const (
 // defaults: a caching engine, 2×GOMAXPROCS in-flight optimizations, 2 s
 // default deadlines, and a memory gate at the engine's arena budget.
 type Config struct {
-	// Engine is the optimizer behind the server. Nil constructs a caching
-	// engine from EngineOptions (the plan cache is what makes coalesced
-	// followers cheap, so serving without one is only for tests).
-	Engine *blitzsplit.Engine
-	// EngineOptions configures the engine New constructs when Engine is nil.
+	// EngineOptions configures the engine New constructs. Its plan cache is
+	// what makes coalesced followers cheap, and its keys are the request
+	// identity: with the cache disabled nothing coalesces and responses carry
+	// no fingerprint.
 	EngineOptions blitzsplit.EngineOptions
 	// MaxInFlight bounds concurrently admitted optimizations; 0 selects
 	// 2 × GOMAXPROCS. Coalesced followers do not take a slot: their expected
@@ -121,10 +120,6 @@ type Config struct {
 	// by StartSnapshots; 0 selects DefaultSnapshotInterval. Ignored when
 	// SnapshotPath is empty.
 	SnapshotInterval time.Duration
-	// Registry receives the server's metrics; nil creates a private one.
-	Registry *telemetry.Registry
-	// Now overrides the clock for tests; nil selects time.Now.
-	Now func() time.Time
 
 	// NodeID and Peers turn on fingerprint-sharded cluster serving: Peers is
 	// the full static membership (including this node), NodeID names which
@@ -134,16 +129,12 @@ type Config struct {
 	// cluster-wide. Leave NodeID empty for single-node serving.
 	NodeID string
 	Peers  []cluster.Node
-	// VirtualNodes is the ring's per-node point count; 0 selects
-	// cluster.DefaultVirtualNodes.
-	VirtualNodes int
 }
 
 // Server serves join-order optimization over HTTP. Construct with New; all
 // methods and the handler are safe for concurrent use.
 type Server struct {
 	eng      *blitzsplit.Engine
-	quantum  float64
 	cfg      Config
 	inflight chan struct{}
 	flights  flightGroup
@@ -152,8 +143,6 @@ type Server struct {
 	// cluster is non-nil when Config.NodeID/Peers enabled sharded serving;
 	// see cluster.go.
 	cluster *clusterState
-	// canonPool recycles flightKey's canonicalizer scratch across requests.
-	canonPool sync.Pool
 	// handlerPanics counts panics recovered at the HTTP handler boundary
 	// (the engine recovers its own; this is everything outside it). snapStop
 	// and snapDone manage the periodic snapshot loop.
@@ -163,11 +152,9 @@ type Server struct {
 	snapDone      chan struct{}
 }
 
-// New returns a server over cfg.Engine (or a fresh caching engine).
+// New returns a server over a fresh engine built from cfg.EngineOptions.
 func New(cfg Config) *Server {
-	if cfg.Engine == nil {
-		cfg.Engine = blitzsplit.New(cfg.EngineOptions)
-	}
+	eng := blitzsplit.New(cfg.EngineOptions)
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -184,7 +171,7 @@ func New(cfg Config) *Server {
 		cfg.MaxRelations = bitset.MaxRelations
 	}
 	if cfg.MemBudget == 0 {
-		cfg.MemBudget = cfg.Engine.Stats().Arena.Capacity
+		cfg.MemBudget = eng.Stats().Arena.Capacity
 	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = DefaultMaxBody
@@ -192,20 +179,13 @@ func New(cfg Config) *Server {
 	if cfg.MaxSynthRows <= 0 {
 		cfg.MaxSynthRows = DefaultMaxSynthRows
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Server{
-		eng:      cfg.Engine,
-		quantum:  cfg.EngineOptions.SelectivityQuantum,
+		eng:      eng,
 		cfg:      cfg,
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.flights.init()
-	s.met = newMetrics(cfg.Registry, s)
+	s.met = newMetrics(telemetry.NewRegistry(), s)
 	if cfg.NodeID != "" && len(cfg.Peers) > 0 {
 		s.cluster = newClusterState(s, cfg)
 	}
@@ -214,9 +194,6 @@ func New(cfg Config) *Server {
 
 // Engine returns the engine behind the server.
 func (s *Server) Engine() *blitzsplit.Engine { return s.eng }
-
-// Registry returns the telemetry registry the server reports into.
-func (s *Server) Registry() *telemetry.Registry { return s.cfg.Registry }
 
 // BeginDrain flips the server into draining: /readyz answers 503 so load
 // balancers stop routing new traffic, and new optimize requests are refused,
@@ -239,9 +216,9 @@ func (s *Server) InFlight() int { return len(s.inflight) }
 //	go tool pprof http://host/debug/pprof/heap
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/optimize", s.handleOptimize)
-	mux.HandleFunc("/v1/optimize/batch", s.handleBatch)
-	mux.HandleFunc("/v1/execute", s.handleExecute)
+	mux.HandleFunc("/v1/optimize", s.post(s.handleOptimize))
+	mux.HandleFunc("/v1/optimize/batch", s.post(s.handleBatch))
+	mux.HandleFunc("/v1/execute", s.post(s.handleExecute))
 	if s.cluster != nil {
 		mux.HandleFunc(cluster.PeerPlanPath, s.handlePeerPlan)
 		mux.HandleFunc(cluster.PeerFillPath, s.handlePeerFill)
@@ -326,101 +303,132 @@ func (s *Server) failKind(w http.ResponseWriter, code int, kind, format string, 
 	s.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})
 }
 
-// handleOptimize is the serving spine: decode → validate → coalesce →
-// admit → optimize (deadline-laddered) → respond. A panic anywhere in the
-// spine is recovered here and answered with 500: one request fails, the
-// process keeps serving. (The engine recovers its own optimizer panics and
-// returns *InternalError; this boundary catches everything outside it.)
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	defer func() { s.met.latency.Observe(s.cfg.Now().Sub(start)) }()
-	defer func() {
-		if v := recover(); v != nil {
-			s.handlerPanics.Add(1)
-			s.met.panics.Inc()
-			s.fail(w, http.StatusInternalServerError, "internal error: %v", v)
-		}
-	}()
-	faultinject.Inject(faultinject.ServerRequest)
+func (s *Server) failServe(w http.ResponseWriter, e *serveErr) {
+	s.failKind(w, e.code, e.kind, "%s", e.msg)
+}
 
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// post wraps a POST endpoint in the boundary the optimize, batch and execute
+// endpoints share: the latency observation, the panic boundary, the request
+// fault point, the method check and the drain refusal. A panic anywhere in
+// the endpoint is recovered here and answered with 500: one request fails,
+// the process keeps serving. (The engine recovers its own optimizer panics
+// and returns *InternalError; this boundary catches everything outside it.)
+// h receives the request's start time.
+func (s *Server) post(h func(http.ResponseWriter, *http.Request, time.Time)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		defer func() { s.met.latency.Observe(time.Since(start)) }()
+		defer func() {
+			if v := recover(); v != nil {
+				s.handlerPanics.Add(1)
+				s.met.panics.Inc()
+				s.fail(w, http.StatusInternalServerError, "internal error: %v", v)
+			}
+		}()
+		faultinject.Inject(faultinject.ServerRequest)
+
+		if r.Method != http.MethodPost {
+			s.fail(w, http.StatusMethodNotAllowed, "POST required")
+			return
+		}
+		if s.draining.Load() {
+			s.met.shed.Inc()
+			s.fail(w, http.StatusServiceUnavailable, "draining")
+			return
+		}
+		h(w, r, start)
 	}
-	if s.draining.Load() {
-		s.met.shed.Inc()
-		s.fail(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
+}
+
+// handleOptimize is the serving spine: decode → validate → identify → route
+// → coalesce → admit → optimize (deadline-laddered) → respond.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, start time.Time) {
 	req, code, err := s.decodeRequest(r)
 	if err != nil {
 		s.fail(w, code, "%v", err)
 		return
 	}
-	q, cq, err := s.buildQuery(req)
+	c, err := s.resolve(req)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, fp := s.flightKey(cq, req)
-	fpHex := hex.EncodeToString(fp)
 
 	// Cluster routing: a shape owned by a peer is forwarded to its home
 	// shard (one hop), unless a warm local copy can serve it here. routed
 	// true means the peer's response has been relayed; pushTo non-nil means
 	// the owner was unreachable — serve locally, then push the plan home.
 	var pushTo *cluster.Node
-	var ekey []byte
 	if s.cluster != nil {
 		var routed bool
-		routed, pushTo, ekey = s.routeOptimize(w, r, req, q, fp)
-		if routed {
+		if routed, pushTo = s.routeOptimize(w, r, c); routed {
 			return
 		}
 	}
 
-	resp, serr := s.optimizeLocal(r.Context(), req, q, key, start)
+	resp, serr := s.optimizeLocal(r.Context(), c, start)
 	if serr != nil {
-		s.failKind(w, serr.code, serr.kind, "%s", serr.msg)
+		s.failServe(w, serr)
 		return
 	}
 	if pushTo != nil && !resp.Degraded {
-		s.asyncPushPlan(*pushTo, ekey)
+		s.asyncPushPlan(*pushTo, c.key)
 	}
-	resp.Fingerprint = fpHex
-	if fpHex != "" {
-		w.Header().Set(HeaderFingerprint, fpHex)
+	if resp.Fingerprint != "" {
+		w.Header().Set(HeaderFingerprint, resp.Fingerprint)
 	}
 	s.met.requests(http.StatusOK).Inc()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// buildQuery resolves a decoded request into the optimizer representation
-// twice over: the core query (for canonicalization/flight keys) and the
-// facade query (for the engine call). Validation already ran in
-// decodeRequest; all errors here are 400s.
-func (s *Server) buildQuery(req *OptimizeRequest) (*blitzsplit.Query, core.Query, error) {
-	cq, _, err := req.File.Query()
+// call is one optimize request resolved for serving: the facade query, the
+// options it runs under, and its identity from a single Engine.PlanKey call.
+// The plan-cache key coalesces and names the cache entry in routing and
+// peer fills; the canonical fingerprint inside it is the response's
+// fingerprint and the request's position on the cluster ring. Both are nil
+// when PlanKey failed: the call then runs uncoalesced and Engine.Optimize
+// reports the error.
+type call struct {
+	req     *OptimizeRequest
+	q       *blitzsplit.Query
+	options []blitzsplit.Option
+	key, fp []byte
+}
+
+// resolve builds a validated request's query and options and computes its
+// identity.
+func (s *Server) resolve(req *OptimizeRequest) (*call, error) {
+	q, err := buildQuery(req)
 	if err != nil {
-		return nil, core.Query{}, err
+		return nil, err
 	}
+	c := &call{req: req, q: q, options: s.serveOptions(req)}
+	// A PlanKey error leaves key and fp nil; Optimize reports it.
+	c.key, c.fp, _ = s.eng.PlanKey(q, c.options...)
+	return c, nil
+}
+
+// buildQuery turns a validated request into the facade query every engine
+// call takes; the query memoizes its one core-query build, so PlanKey and
+// Optimize share it. Validation already ran in decodeRequest; all errors
+// here are 400s.
+func buildQuery(req *OptimizeRequest) (*blitzsplit.Query, error) {
 	q := blitzsplit.NewQuery()
 	for _, rel := range req.Relations {
 		if err := q.AddRelation(rel.Name, rel.Cardinality); err != nil {
-			return nil, core.Query{}, err
+			return nil, err
 		}
 	}
 	for _, j := range req.Joins {
 		if err := q.Join(j.A, j.B, j.Selectivity); err != nil {
-			return nil, core.Query{}, err
+			return nil, err
 		}
 	}
-	return q, cq, nil
+	return q, nil
 }
 
-// serveOptions is the option set every served optimization runs under; the
-// engine cache key derives from it, so routeOptimize passes the identical
-// set to PlanKey.
+// serveOptions is the option set every served optimization and execution
+// runs under (plus its deadline); the request's identity derives from it.
 func (s *Server) serveOptions(req *OptimizeRequest) []blitzsplit.Option {
 	options := []blitzsplit.Option{
 		blitzsplit.WithDeadlineLadder(),
@@ -446,23 +454,65 @@ type serveErr struct {
 	msg  string
 }
 
-// optimizeLocal runs the local serving spine for one decoded request:
+// classify maps an engine error to the status and kind that optimize, batch
+// and execute all answer it with, counting recovered panics and row-limit
+// refusals.
+func (s *Server) classify(err error) *serveErr {
+	var ie *blitzsplit.InternalError
+	if errors.As(err, &ie) {
+		// An optimizer or executor panic the engine recovered: the request
+		// fails 500, the counter feeds the chaos harness and alerting.
+		s.met.panics.Inc()
+	}
+	e := &serveErr{code: http.StatusInternalServerError, msg: err.Error()}
+	switch {
+	case errors.Is(err, blitzsplit.ErrRowLimit):
+		// The data outgrew the execution guard: a property of the request,
+		// typed so clients can raise max_rows deliberately.
+		e.code, e.kind = http.StatusUnprocessableEntity, "row_limit"
+		s.met.execRowLimit.Inc()
+	case errors.Is(err, core.ErrNoPlan):
+		// No plan fits inside the float32 overflow limit: the query is
+		// well-formed but unanswerable as posed.
+		e.code = http.StatusUnprocessableEntity
+	case errors.Is(err, blitzsplit.ErrEnumeratorUnsupported):
+		// The server was pinned to the CCP enumerator and this query's graph
+		// is outside its plan space — a property of the request, not a
+		// server fault.
+		e.code = http.StatusUnprocessableEntity
+	case errors.Is(err, blitzsplit.ErrQuarantined):
+		// The shape has crashed the optimizer repeatedly and the engine
+		// refuses to run it again: a property of the request, answered 422
+		// so clients stop resubmitting it.
+		e.code = http.StatusUnprocessableEntity
+	case errors.Is(err, core.ErrBudgetExceeded):
+		// Only explicit cancellation reaches here — the ladder absorbs
+		// deadlines — so the client is gone; the code is a formality.
+		e.code = http.StatusServiceUnavailable
+	}
+	return e
+}
+
+// optimizeLocal runs the local serving spine for one resolved request:
 // coalesce → admit → optimize (deadline-laddered) → classify. It increments
 // the optimization/coalescing/shedding/degradation metrics but never writes
 // a response and never counts blitzd_requests_total — callers do both.
-func (s *Server) optimizeLocal(ctx context.Context, req *OptimizeRequest, q *blitzsplit.Query, key string, start time.Time) (OptimizeResponse, *serveErr) {
+func (s *Server) optimizeLocal(ctx context.Context, c *call, start time.Time) (OptimizeResponse, *serveErr) {
 	// Occupancy is sampled before this request takes its own slot: it is the
 	// load the request *adds to*, and it decides how much deadline the
 	// request deserves under pressure.
-	timeout := s.effectiveTimeout(req, len(s.inflight))
+	timeout := s.effectiveTimeout(c.req, len(s.inflight))
 
-	// Coalesce on the canonical fingerprint before admission: a follower's
-	// expected cost is one cache hit, so it neither occupies a slot nor
-	// counts as an optimization.
+	// Coalesce on the plan-cache key before admission: a follower's expected
+	// cost is one cache hit, so it neither occupies a slot nor counts as an
+	// optimization.
 	coalesced := false
-	if key != "" {
+	if c.key != nil {
+		key := string(c.key)
 		leader, wait := s.flights.join(key)
-		if !leader {
+		if leader {
+			defer s.flights.leave(key)
+		} else {
 			coalesced = true
 			s.met.coalesced.Inc()
 			select {
@@ -472,63 +522,22 @@ func (s *Server) optimizeLocal(ctx context.Context, req *OptimizeRequest, q *bli
 				return OptimizeResponse{}, &serveErr{code: http.StatusServiceUnavailable,
 					msg: "client went away while coalesced"}
 			}
-		} else {
-			defer s.flights.leave(key)
-			// Leaders run a real optimization and must pass admission.
-			if !s.admit(ctx) {
-				s.met.shed.Inc()
-				return OptimizeResponse{}, &serveErr{code: http.StatusServiceUnavailable,
-					msg: fmt.Sprintf("over capacity: %d optimizations in flight", s.cfg.MaxInFlight)}
-			}
-			defer func() { <-s.inflight }()
-			s.met.optimizations.Inc()
 		}
-	} else {
-		// Uncanonicalizable queries (none today: estimators cannot arrive
-		// via JSON) skip coalescing but still pass admission.
-		if !s.admit(ctx) {
-			s.met.shed.Inc()
-			return OptimizeResponse{}, &serveErr{code: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("over capacity: %d optimizations in flight", s.cfg.MaxInFlight)}
+	}
+	if !coalesced {
+		// Leaders, and requests without a key, run a real optimization and
+		// must pass admission.
+		if serr := s.admit(ctx); serr != nil {
+			return OptimizeResponse{}, serr
 		}
 		defer func() { <-s.inflight }()
-		s.met.optimizations.Inc()
 	}
 
 	// Map the (possibly overload-shrunk) deadline onto the ladder: less
 	// time, cheaper rung, answer anyway.
-	options := append(s.serveOptions(req), blitzsplit.WithTimeout(timeout))
-
-	res, err := s.eng.Optimize(ctx, q, options...)
+	res, err := s.eng.Optimize(ctx, c.q, append(c.options, blitzsplit.WithTimeout(timeout))...)
 	if err != nil {
-		var ie *blitzsplit.InternalError
-		if errors.As(err, &ie) {
-			// An optimizer panic the engine recovered: the request fails 500,
-			// the counter feeds the chaos harness and alerting.
-			s.met.panics.Inc()
-		}
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, core.ErrNoPlan):
-			// No plan fits inside the float32 overflow limit: the query is
-			// well-formed but unanswerable as posed.
-			code = http.StatusUnprocessableEntity
-		case errors.Is(err, blitzsplit.ErrEnumeratorUnsupported):
-			// The server was pinned to the CCP enumerator and this query's
-			// graph is outside its plan space — a property of the request,
-			// not a server fault.
-			code = http.StatusUnprocessableEntity
-		case errors.Is(err, blitzsplit.ErrQuarantined):
-			// The shape has crashed the optimizer repeatedly and the engine
-			// refuses to run it again: a property of the request, answered
-			// 422 so clients stop resubmitting it.
-			code = http.StatusUnprocessableEntity
-		case errors.Is(err, core.ErrBudgetExceeded):
-			// Only explicit cancellation reaches here — the ladder absorbs
-			// deadlines — so the client is gone; the code is a formality.
-			code = http.StatusServiceUnavailable
-		}
-		return OptimizeResponse{}, &serveErr{code: code, msg: err.Error()}
+		return OptimizeResponse{}, s.classify(err)
 	}
 	if res.Degraded {
 		s.met.degraded(res.Mode).Inc()
@@ -543,9 +552,10 @@ func (s *Server) optimizeLocal(ctx context.Context, req *OptimizeRequest, q *bli
 		Cached:      res.Cached,
 		Coalesced:   coalesced,
 		Counters:    res.Counters,
-		ElapsedUS:   s.cfg.Now().Sub(start).Microseconds(),
+		ElapsedUS:   time.Since(start).Microseconds(),
+		Fingerprint: hex.EncodeToString(c.fp),
 	}
-	if req.IncludePlan {
+	if c.req.IncludePlan {
 		resp.Plan = res.Plan
 	}
 	return resp, nil
@@ -603,47 +613,29 @@ func (s *Server) validateRequest(req *OptimizeRequest) (int, error) {
 	return 0, nil
 }
 
-// flightKey derives the coalescing key: the canonical fingerprint extended
-// with every request option that changes which plan is produced. Identical
-// queries — and isomorphic ones under relabeling — share a key; the
-// fingerprint is exact (never a hash), so distinct queries never coalesce.
-// The canonicalizer comes from a pool so each request reuses refinement
-// scratch instead of re-allocating it. The bare fingerprint is also returned
-// (a fresh copy): it is the response's identity field and what the cluster
-// ring shards on.
-func (s *Server) flightKey(cq core.Query, req *OptimizeRequest) (string, []byte) {
-	c, _ := s.canonPool.Get().(*canon.Canonicalizer)
-	if c == nil {
-		c = new(canon.Canonicalizer)
-	}
-	if err := c.Canonicalize(cq, canon.Options{SelectivityQuantum: s.quantum}); err != nil {
-		s.canonPool.Put(c)
-		return "", nil
-	}
-	key := string(c.Fingerprint()) + "\x00" + req.Model + "\x00" + strconv.FormatBool(req.LeftDeep)
-	fp := append([]byte(nil), c.Fingerprint()...)
-	s.canonPool.Put(c)
-	return key, fp
-}
-
-// admit takes an in-flight slot, waiting up to AdmissionWait (bounded also
-// by the client's context). False means the request should be shed.
-func (s *Server) admit(ctx context.Context) bool {
+// admit takes an in-flight slot for one real optimization and counts it,
+// waiting up to AdmissionWait (bounded also by the client's context). A
+// request that gets no slot is shed: the returned error is its 503. The
+// caller releases an admitted slot with <-s.inflight.
+func (s *Server) admit(ctx context.Context) *serveErr {
 	select {
 	case s.inflight <- struct{}{}:
-		return true
+		s.met.optimizations.Inc()
+		return nil
 	default:
 	}
 	t := time.NewTimer(s.cfg.AdmissionWait)
 	defer t.Stop()
 	select {
 	case s.inflight <- struct{}{}:
-		return true
+		s.met.optimizations.Inc()
+		return nil
 	case <-t.C:
-		return false
 	case <-ctx.Done():
-		return false
 	}
+	s.met.shed.Inc()
+	return &serveErr{code: http.StatusServiceUnavailable,
+		msg: fmt.Sprintf("over capacity: %d optimizations in flight", s.cfg.MaxInFlight)}
 }
 
 // effectiveTimeout maps the requested deadline through the overload ladder:
@@ -683,12 +675,12 @@ func overloadDivisor(used, capacity int) time.Duration {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.cfg.Registry.WriteProm(w)
+	_ = s.met.reg.WriteProm(w)
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = s.cfg.Registry.WriteJSON(w)
+	_ = s.met.reg.WriteJSON(w)
 }
 
 // handleHealthz is liveness: the process is up and serving HTTP.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,6 +39,35 @@ func chainBody(n int, card float64) string {
 	return b.String()
 }
 
+// reversedChainBody is chainBody(n, card) with its relations and joins listed
+// back to front and each join's sides swapped: the same query under another
+// relation numbering.
+func reversedChainBody(n int, card float64) string {
+	var b strings.Builder
+	b.WriteString(`{"relations":[`)
+	for i := n - 1; i >= 0; i-- {
+		if i < n-1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"R%d","cardinality":%g}`, i, card)
+	}
+	b.WriteString(`],"joins":[`)
+	for i := n - 2; i >= 0; i-- {
+		if i < n-2 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"a":"R%d","b":"R%d","selectivity":0.001}`, i+1, i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// quantizedTwin is a chainBody document with every selectivity moved from
+// 0.001 to 0.00105; under SelectivityQuantum 1 both round to 2^-10.
+func quantizedTwin(body string) string {
+	return strings.ReplaceAll(body, `"selectivity":0.001`, `"selectivity":0.00105`)
+}
+
 // withOpts splices extra top-level JSON fields into a chainBody document.
 func withOpts(body, extra string) string {
 	return body[:len(body)-1] + "," + extra + "}"
@@ -53,9 +83,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postOptimize(t *testing.T, base, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/optimize", "application/json", strings.NewReader(body))
+	return postPath(t, base, "/v1/optimize", body)
+}
+
+func postPath(t *testing.T, base, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/optimize: %v", err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
@@ -290,6 +325,119 @@ func TestCoalescingExact(t *testing.T) {
 		if r.Cost != want.Cost || r.Cardinality != want.Cardinality ||
 			r.Expression != want.Expression || r.Counters != want.Counters {
 			t.Errorf("response %d not bit-identical to cold run:\ngot  %+v\nwant %+v", i, r, want)
+		}
+	}
+}
+
+// TestCoalescingOnPlanKey: requests coalesce on the engine's plan-cache key,
+// so followers that list the leader's relations in another order, or whose
+// selectivities quantize with the leader's, wait for the leader instead of
+// optimizing: 1 optimization and K−1 coalesced waits, each follower served
+// from the leader's cache entry under the leader's fingerprint. The leader is
+// held at the first ladder rung as in TestCoalescingExact.
+func TestCoalescingOnPlanKey(t *testing.T) {
+	const K = 6
+	s, ts := newTestServer(t, Config{
+		RequestTimeout: 30 * time.Second,
+		EngineOptions:  blitzsplit.EngineOptions{SelectivityQuantum: 1},
+	})
+	leader := chainBody(10, 1000)
+	followers := []string{reversedChainBody(10, 1000), quantizedTwin(leader)}
+
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var enterOnce, gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	faultinject.Set(faultinject.FacadeRung, func() {
+		enterOnce.Do(func() { close(entered); <-gate })
+	})
+	defer faultinject.Reset()
+	defer release()
+
+	type reply struct {
+		code int
+		body []byte
+	}
+	replies := make(chan reply, K)
+	post := func(body string) {
+		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			replies <- reply{0, []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		replies <- reply{resp.StatusCode, b}
+	}
+	go post(leader)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("leader never reached the ladder")
+	}
+	for i := 0; i < K-1; i++ {
+		go post(followers[i%len(followers)])
+	}
+	waitFor(t, 10*time.Second,
+		func() bool { return s.met.coalesced.Value() == K-1 },
+		"all followers to coalesce")
+	release()
+
+	fps := map[string]bool{}
+	var coalesced int
+	for i := 0; i < K; i++ {
+		r := <-replies
+		if r.code != http.StatusOK {
+			t.Fatalf("status = %d: %s", r.code, r.body)
+		}
+		resp := decodeResponse(t, r.body)
+		fps[resp.Fingerprint] = true
+		if resp.Coalesced {
+			coalesced++
+			if !resp.Cached {
+				t.Error("coalesced follower must be served from the plan cache")
+			}
+		}
+	}
+	if coalesced != K-1 {
+		t.Errorf("coalesced responses = %d, want %d", coalesced, K-1)
+	}
+	if len(fps) != 1 {
+		t.Errorf("fingerprints = %v, want one", fps)
+	}
+	if got := s.met.optimizations.Value(); got != 1 {
+		t.Errorf("optimizations = %d, want exactly 1", got)
+	}
+	if got := s.met.coalesced.Value(); got != K-1 {
+		t.Errorf("coalesced = %d, want exactly %d", got, K-1)
+	}
+}
+
+// TestQuantizedFingerprintMatchesPlanKey: with selectivity quantization on,
+// the response fingerprint is the one inside the engine's plan-cache key, so
+// two queries whose selectivities quantize together carry the same
+// fingerprint, in the body and the header, and the second is served from the
+// first's cache entry.
+func TestQuantizedFingerprintMatchesPlanKey(t *testing.T) {
+	s, ts := newTestServer(t, Config{EngineOptions: blitzsplit.EngineOptions{SelectivityQuantum: 1}})
+	want := hex.EncodeToString(shapeFP(t, s, 5, 1000))
+	for i, body := range []string{chainBody(5, 1000), quantizedTwin(chainBody(5, 1000))} {
+		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		r := decodeResponse(t, raw)
+		if r.Fingerprint != want || resp.Header.Get(HeaderFingerprint) != want {
+			t.Errorf("request %d: fingerprint body %q header %q, want PlanKey's %q",
+				i, r.Fingerprint, resp.Header.Get(HeaderFingerprint), want)
+		}
+		if r.Cached != (i == 1) {
+			t.Errorf("request %d: cached = %v, want %v", i, r.Cached, i == 1)
 		}
 	}
 }

@@ -137,21 +137,30 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestHandlerPanicIsolation: a panic outside the engine — at the handler
-// boundary — also answers 500 and keeps the server alive.
+// boundary every POST endpoint shares — answers 500 and keeps the server
+// alive.
 func TestHandlerPanicIsolation(t *testing.T) {
-	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{})
-	faultinject.Set(faultinject.ServerRequest, func() { panic("handler-panic") })
-	code, b := postOptimize(t, ts.URL, chainBody(4, 500))
-	faultinject.Reset()
-	if code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500: %s", code, b)
-	}
-	if got := s.HandlerPanics(); got != 1 {
-		t.Errorf("HandlerPanics = %d, want 1", got)
-	}
-	if code, _ := postOptimize(t, ts.URL, chainBody(4, 500)); code != http.StatusOK {
-		t.Fatalf("server did not survive the handler panic: %d", code)
+	for _, ep := range []struct{ name, path, body string }{
+		{"optimize", "/v1/optimize", chainBody(4, 500)},
+		{"batch", "/v1/optimize/batch", `{"queries":[` + chainBody(4, 500) + `]}`},
+		{"execute", "/v1/execute", withOpts(chainBody(4, 500), `"seed":1`)},
+	} {
+		t.Run(ep.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			s, ts := newTestServer(t, Config{})
+			faultinject.Set(faultinject.ServerRequest, func() { panic("handler-panic") })
+			code, b := postPath(t, ts.URL, ep.path, ep.body)
+			faultinject.Reset()
+			if code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500: %s", code, b)
+			}
+			if got := s.HandlerPanics(); got != 1 {
+				t.Errorf("HandlerPanics = %d, want 1", got)
+			}
+			if code, b := postPath(t, ts.URL, ep.path, ep.body); code != http.StatusOK {
+				t.Fatalf("server did not survive the handler panic: %d %s", code, b)
+			}
+		})
 	}
 }
 

@@ -521,7 +521,6 @@ func (e *Engine) OptimizeLarge(ctx context.Context, q *Query, blockSize int, opt
 		K:          blockSize,
 		Stochastic: baseline.StochasticOptions{Seed: 1},
 		Ctx:        rctx,
-		Arena:      e.arena,
 		Enumerator: cfg.opts.Enumerator,
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,6 +73,37 @@ func TestLadderMemoryBudgetFallsToIDP(t *testing.T) {
 	requireVerified(t, res)
 	if res.Plan.Set != bitset.Full(10) {
 		t.Fatalf("plan covers %v, want all 10 relations", res.Plan.Set)
+	}
+}
+
+// TestLadderLargeNStaysInBudget: a memory-refused ladder answers n = 22,
+// 26 and 30 chains inside its memory budget and within twice its deadline.
+// The exhaustive rungs are refused at admission, and the IDP rung's tables
+// hold only the subsets of at most K units (17.6 MiB at n = 30), with its
+// context checked every 1024 subsets.
+func TestLadderLargeNStaysInBudget(t *testing.T) {
+	const budget = 64 << 20
+	const deadline = 50 * time.Millisecond
+	for _, n := range []int{22, 26, 30} {
+		q := ladderChain(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := q.Optimize(WithMemoryBudget(budget), WithTimeout(deadline), WithDeadlineLadder())
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("n=%d: mode %s after %v, %.1f MiB allocated", n, res.Mode, elapsed, float64(alloc)/(1<<20))
+		if alloc > budget {
+			t.Errorf("n=%d: allocated %.1f MiB, budget %d MiB", n, float64(alloc)/(1<<20), budget>>20)
+		}
+		if elapsed > 2*deadline {
+			t.Errorf("n=%d: answered after %v, deadline %v", n, elapsed, deadline)
+		}
+		requireVerified(t, res)
 	}
 }
 

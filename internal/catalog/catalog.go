@@ -21,13 +21,11 @@ type Relation struct {
 	// Cardinality is the (estimated) number of tuples. The paper holds these
 	// in a wide-dynamic-range float (§4.1 footnote 2); so do we.
 	Cardinality float64 `json:"cardinality"`
-	// Width is the tuple width in bytes. Zero means unknown; cost models that
-	// need a width fall back to DefaultWidth.
+	// Width is the tuple width in bytes; zero means unknown. Specs and
+	// requests carry it and validation rejects a negative one, but no cost
+	// model reads it.
 	Width int `json:"width,omitempty"`
 }
-
-// DefaultWidth is the tuple width assumed when a Relation does not declare one.
-const DefaultWidth = 100
 
 // Catalog is an ordered collection of relations. The position of a relation
 // in the catalog is its index in the optimizer's bitsets, and — following
@@ -79,14 +77,6 @@ func (c *Catalog) Add(r Relation) (int, error) {
 
 // Len returns the number of relations.
 func (c *Catalog) Len() int { return len(c.rels) }
-
-// WidthOrDefault returns relation i's width, or DefaultWidth if unset.
-func (c *Catalog) WidthOrDefault(i int) int {
-	if w := c.rels[i].Width; w > 0 {
-		return w
-	}
-	return DefaultWidth
-}
 
 // Index returns the index of the named relation.
 func (c *Catalog) Index(name string) (int, bool) {

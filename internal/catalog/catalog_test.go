@@ -78,18 +78,6 @@ func TestAddCapacityLimit(t *testing.T) {
 
 func names(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i/26)) }
 
-func TestWidthOrDefault(t *testing.T) {
-	c := New()
-	c.Add(Relation{Name: "a", Cardinality: 1})
-	c.Add(Relation{Name: "b", Cardinality: 1, Width: 8})
-	if got := c.WidthOrDefault(0); got != DefaultWidth {
-		t.Errorf("default width = %d", got)
-	}
-	if got := c.WidthOrDefault(1); got != 8 {
-		t.Errorf("explicit width = %d", got)
-	}
-}
-
 // TestJSONRoundTrip: a relation list survives the JSON form the spec format
 // and blitzd requests carry (name, cardinality, width when set) and rebuilds
 // the same catalog.
@@ -109,7 +97,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.WidthOrDefault(0) != 40 || got.Cardinalities()[1] != 7 {
+	if got.Len() != 2 || got.rels[0].Width != 40 || got.Cardinalities()[1] != 7 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	if idx, ok := got.Index("b"); !ok || idx != 1 {

@@ -160,17 +160,6 @@ func (t *Table) RetainedBytes() uint64 {
 		uint64(cap(t.layer))*8
 }
 
-// ScratchColumns reconfigures the table for an n-relation dynamic program
-// with no fan or memo columns and hands out its core columns for direct use —
-// the bounded-DP scratch hybrid.IDP runs on. The columns stay owned by the
-// table: callers borrow them until the table is Put back to its arena, and
-// the usual Reset contract applies (stale contents are never read because the
-// DP writes every entry before reading it).
-func (t *Table) ScratchColumns(n int) (card []float64, slots []Slot) {
-	t.Reset(n, false, nil)
-	return t.card, t.slot
-}
-
 // N returns the number of relations.
 func (t *Table) N() int { return t.n }
 

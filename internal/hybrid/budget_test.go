@@ -78,13 +78,13 @@ func TestChainedLocalWithoutContextUnchanged(t *testing.T) {
 // only between rounds. On a 22-unit chain with K = 6 under the blitz
 // enumerator the first round scans about 110k subsets. Cancelled about 1 ms
 // in, IDP must return the context error in well under the time that round
-// takes uncancelled, which the round-boundary hook measures here. Both runs
-// share an arena, as the ladder's do, so the cancelled run reuses the dense
-// 2^22-slot tables instead of allocating them, which no context check can
-// interrupt.
+// takes uncancelled, which the round-boundary hook measures here. A round
+// allocates tables for only the subsets of at most K units (2.5 MiB in the
+// first round), so no large allocation delays the cancelled run's first
+// check.
 func TestIDPCancelMidRound(t *testing.T) {
 	cards, g := chainQuery(22, 200)
-	opts := IDPOptions{K: 6, Enumerator: core.EnumeratorBlitz, Arena: core.NewArena(0)}
+	opts := IDPOptions{K: 6, Enumerator: core.EnumeratorBlitz}
 	t.Cleanup(faultinject.Reset)
 	var starts []time.Time
 	faultinject.Set(faultinject.HybridRound, func() { starts = append(starts, time.Now()) })

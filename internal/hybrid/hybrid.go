@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"blitzsplit/internal/baseline"
 	"blitzsplit/internal/bitset"
@@ -121,7 +122,9 @@ func Greedy(cards []float64, g *joingraph.Graph, m cost.Model) (*Result, error) 
 // IDPOptions configures IDP and ChainedLocal.
 type IDPOptions struct {
 	// K is the DP block size (2 ≤ K ≤ 20-ish; table work grows as 3^K).
-	// 0 means 10.
+	// 0 means 10. A round over u units holds one 24-byte entry per subset
+	// of at most K units, Σ_{k≤K} C(u, k) in all: 0.77M entries (17.6 MiB)
+	// at u = 30 and K = 6.
 	K int
 	// Stochastic configures the ChainedLocal polishing phase.
 	Stochastic baseline.StochasticOptions
@@ -132,12 +135,6 @@ type IDPOptions struct {
 	// stops within one stride, not one round: at 22 units and K = 6 a round
 	// scans about 110k subsets.
 	Ctx context.Context
-	// Arena, when non-nil, supplies the bounded DP's scratch columns from a
-	// pooled core.Table instead of package-private slices. The table is
-	// returned to the arena on every exit path — including mid-run
-	// cancellation — so a deadline-aborted IDP never strands a checkout
-	// (the ladder leak the arena was introduced to fix).
-	Arena *core.Arena
 	// Enumerator selects each round's split enumeration. With EnumeratorCCP
 	// or EnumeratorAuto a round whose contracted unit graph is connected
 	// restricts the bounded DP to connected-complement pairs — the CCP
@@ -182,14 +179,6 @@ func IDP(cards []float64, g *joingraph.Graph, m cost.Model, opts IDPOptions) (*R
 		units[i] = unit{tree: plan.Leaf(i, c), card: c}
 	}
 	res := &Result{}
-	var sc dpScratch // shared across rounds: the 2^u tables are re-made once, not per round
-	if opts.Arena != nil {
-		// The first (largest) round runs the DP over all len(units) units, so
-		// one checkout sized for it serves every later round via Reset. The
-		// deferred Put covers cancellation between rounds.
-		sc.tbl = opts.Arena.Get(len(units), false, nil)
-		defer opts.Arena.Put(sc.tbl)
-	}
 	for len(units) > 1 {
 		faultinject.Inject(faultinject.HybridRound)
 		if err := opts.ctxErr(); err != nil {
@@ -200,7 +189,7 @@ func IDP(cards []float64, g *joingraph.Graph, m cost.Model, opts IDPOptions) (*R
 		if len(units) < block {
 			block = len(units)
 		}
-		best, count, err := boundedDP(opts, units, g, m, block, &sc)
+		best, count, err := boundedDP(opts, units, g, m, block)
 		if err != nil {
 			return nil, err
 		}
@@ -223,75 +212,65 @@ func IDP(cards []float64, g *joingraph.Graph, m cost.Model, opts IDPOptions) (*R
 	return res, nil
 }
 
-// dpScratch holds boundedDP's per-round tables for reuse across IDP rounds:
-// without it every round re-makes three 2^u-element slices plus the subset
-// work lists, and the first (largest-u) rounds dominate the allocation bill.
-// Capacities only shrink as IDP collapses units, so after round one the DP
-// runs allocation-free.
-type dpScratch struct {
-	// tbl, when non-nil, backs card/slots with an arena-pooled core.Table
-	// (via ScratchColumns) instead of private slices.
-	tbl    *core.Table
-	card   []float64
-	slots  []core.Slot
-	sel    [][]float64
-	bySize [][]bitset.Set
-	adj    ccp.Adjacency // unit-graph adjacency under a CCP enumerator
+// layout gives each subset of 1 … block of u units its own position in
+// [0, size): subsets are ordered by size, then colex within a size. A
+// k-subset with members c_1 < … < c_k sits at off[k] + Σ C(c_i, i), so the
+// singleton {i} sits at i. Gosper's hack (bitset.NextKSubset) visits the
+// subsets of one size in this order, so a walk over a size takes
+// consecutive positions. A round's tables thus hold Σ_{k≤block} C(u, k)
+// entries instead of 2^u.
+type layout struct {
+	off  []int   // off[k]: the number of subsets of 1 … k−1 units
+	step [][]int // step[c][i] = C(c, i) + off[i] − off[i−1], member c's share as a subset's i-th
+	size int
 }
 
-// resize readies the scratch for u units and the given block, reusing
-// backing arrays whose capacity suffices. Stale contents are harmless for
-// the same reason core.Table.Reset's are: every entry the DP reads is
-// written first (singletons here, larger subsets in ascending-size order).
-func (sc *dpScratch) resize(u, block int) {
-	if sc.tbl != nil {
-		sc.card, sc.slots = sc.tbl.ScratchColumns(u)
-	} else {
-		size := 1 << uint(u)
-		if cap(sc.card) >= size {
-			sc.card = sc.card[:size]
-		} else {
-			sc.card = make([]float64, size)
+func newLayout(u, block int) layout {
+	lay := layout{off: make([]int, block+2), step: make([][]int, u)}
+	for k := 1; k <= block; k++ {
+		lay.off[k+1] = lay.off[k] + int(bitset.Binomial(u, k))
+	}
+	lay.size = lay.off[block+1]
+	for c := range lay.step {
+		row := make([]int, block+1)
+		for i := 1; i <= block; i++ {
+			row[i] = int(bitset.Binomial(c, i)) + lay.off[i] - lay.off[i-1]
 		}
-		if cap(sc.slots) >= size {
-			sc.slots = sc.slots[:size]
-		} else {
-			sc.slots = make([]core.Slot, size)
+		lay.step[c] = row
+	}
+	return lay
+}
+
+// pos returns the position of s, which holds 1 … block units: the sum of
+// its members' steps, in which the off differences telescope to off[|s|].
+func (lay *layout) pos(s bitset.Set) int {
+	p := 0
+	for i := 1; s != 0; i++ {
+		p += lay.step[s.Min()][i]
+		s &= s - 1
+	}
+	return p
+}
+
+// subsetPositions sets at[j], for every j < 2^|s|, to the position of the
+// subset of s that the contracted mask j selects: bit b of j selects s's
+// (b+1)-th smallest member, so at[2^|s| − 1] is s's own position. Each entry
+// is an entry with one bit fewer plus one step. at[0], the empty set, is 0.
+func (lay *layout) subsetPositions(s bitset.Set, at []int) {
+	at[0] = 0
+	for lo := 1; s != 0; lo, s = 2*lo, s&(s-1) {
+		row := lay.step[s.Min()]
+		for j := lo; j < 2*lo; j++ {
+			at[j] = at[j-lo] + row[bits.OnesCount(uint(j))]
 		}
-	}
-	if cap(sc.sel) >= u {
-		sc.sel = sc.sel[:u]
-	} else {
-		sc.sel = make([][]float64, u)
-	}
-	for i := range sc.sel {
-		if cap(sc.sel[i]) >= u {
-			sc.sel[i] = sc.sel[i][:u]
-		} else {
-			sc.sel[i] = make([]float64, u)
-		}
-	}
-	if cap(sc.bySize) >= block+1 {
-		sc.bySize = sc.bySize[:block+1]
-	} else {
-		sc.bySize = make([][]bitset.Set, block+1)
-	}
-	for i := range sc.bySize {
-		sc.bySize[i] = sc.bySize[i][:0]
 	}
 }
 
-// unitAdjacency builds the contracted unit graph into the scratch: units are
-// adjacent exactly when some join edge spans their relation sets, so
-// connectivity over units coincides with connectivity of the underlying
-// relations under contraction.
-func (sc *dpScratch) unitAdjacency(units []unit, g *joingraph.Graph) ccp.Adjacency {
-	u := len(units)
-	if cap(sc.adj) >= u {
-		sc.adj = sc.adj[:u]
-	} else {
-		sc.adj = make(ccp.Adjacency, u)
-	}
+// unitAdjacency builds the contracted unit graph: units are adjacent exactly
+// when some join edge spans their relation sets, so connectivity over units
+// coincides with connectivity of the underlying relations under contraction.
+func unitAdjacency(units []unit, g *joingraph.Graph) ccp.Adjacency {
+	adj := make(ccp.Adjacency, len(units))
 	for i := range units {
 		var frontier bitset.Set
 		units[i].tree.Set.ForEach(func(r int) { frontier |= g.Neighbors(r) })
@@ -301,22 +280,21 @@ func (sc *dpScratch) unitAdjacency(units []unit, g *joingraph.Graph) ccp.Adjacen
 				nb = nb.Add(j)
 			}
 		}
-		sc.adj[i] = nb
+		adj[i] = nb
 	}
-	return sc.adj
+	return adj
 }
 
 // boundedDP runs the blitzsplit DP over subsets of at most `block` units and
 // returns the best block-sized compound unit (or the full plan when block
-// covers every unit). Subsets are keyed by bitsets over *unit indexes*; the
-// tables live in sc and are reused across rounds. It checks opts.Ctx every
-// ctxCheckStride subsets and returns its error.
-func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, block int, sc *dpScratch) (unit, uint64, error) {
+// covers every unit). Subsets are bitsets over *unit indexes*, stored at
+// their layout positions in tables made for this round. It checks opts.Ctx
+// every ctxCheckStride subsets and returns its error.
+func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, block int) (unit, uint64, error) {
 	u := len(units)
 	if u > bitset.MaxRelations {
 		return unit{}, 0, fmt.Errorf("hybrid: %d units exceed the bitset capacity", u)
 	}
-	sc.resize(u, block)
 	// Under a CCP enumerator, build the contracted unit graph (units adjacent
 	// when any join edge spans their relation sets) and, when it is
 	// connected, restrict this round's DP to connected-complement pairs. A
@@ -325,14 +303,15 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 	// connected subset of every size, so the round's winner always exists.
 	var unitAdj ccp.Adjacency
 	if opts.Enumerator != core.EnumeratorBlitz && g != nil {
-		unitAdj = sc.unitAdjacency(units, g)
+		unitAdj = unitAdjacency(units, g)
 		if !unitAdj.Connected(bitset.Full(u)) {
 			unitAdj = nil
 		}
 	}
 	// Pairwise selectivities between units.
-	sel := sc.sel
+	sel := make([][]float64, u)
 	for i := range sel {
+		sel[i] = make([]float64, u)
 		for j := range sel[i] {
 			if i == j {
 				sel[i][j] = 1
@@ -341,36 +320,23 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 			}
 		}
 	}
-	// Dense per-subset arrays keyed by the unit-index bitset. 2^u entries at
-	// 24 bytes each (card + interleaved cost/lhs slot) caps usable u well
-	// inside bitset.MaxRelations; IDP's block collapsing shrinks u every
-	// round, so only the first rounds pay.
-	cardT := sc.card
-	slotT := sc.slots
+	// Per-subset arrays at layout positions, 24 bytes per subset (card +
+	// interleaved cost/lhs slot). The singleton {i} sits at position i.
+	lay := newLayout(u, block)
+	cardT := make([]float64, lay.size)
+	slotT := make([]core.Slot, lay.size)
 	for i := range units {
-		s := bitset.Single(i)
-		cardT[s] = units[i].card
-		slotT[s] = core.Slot{Cost: units[i].cost}
+		cardT[i] = units[i].card
+		slotT[i] = core.Slot{Cost: units[i].cost}
 	}
+	at := make([]int, 1<<uint(block-1))
 	var considered uint64
 	visited := 0
-	// Subsets by ascending size so halves always exist.
-	bySize := sc.bySize
-	var gen func(start int, cur bitset.Set, size int)
-	gen = func(start int, cur bitset.Set, size int) {
-		if size >= 2 {
-			bySize[size] = append(bySize[size], cur)
-		}
-		if size == block {
-			return
-		}
-		for i := start; i < u; i++ {
-			gen(i+1, cur.Add(i), size+1)
-		}
-	}
-	gen(0, 0, 0)
+	// Subsets by ascending size so halves always exist; within a size,
+	// Gosper's hack walks them in layout order, so s sits at p.
 	for sz := 2; sz <= block; sz++ {
-		for _, s := range bySize[sz] {
+		s := bitset.FirstKSubset(sz)
+		for p := lay.off[sz]; p < lay.off[sz+1]; p, s = p+1, bitset.NextKSubset(s) {
 			if visited++; visited%ctxCheckStride == 0 {
 				if err := opts.ctxErr(); err != nil {
 					return unit{}, 0, err
@@ -381,13 +347,14 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 			rest := s.Remove(mi)
 			fan := 1.0
 			rest.ForEach(func(j int) { fan *= sel[mi][j] })
-			card := cardT[bitset.Single(mi)] * cardT[rest] * fan
+			card := cardT[mi] * cardT[lay.pos(rest)] * fan
 			if unitAdj != nil && !unitAdj.Connected(s) {
 				// Cartesian-only subset: excluded from the CP-free space. The
-				// Inf slot must be written (not skipped) — the winner scan and
-				// reused scratch would otherwise read stale garbage.
-				cardT[s] = card
-				slotT[s] = core.Slot{Cost: math.Inf(1)}
+				// Inf slot must be written (not skipped): the winner scan
+				// reads every block-sized entry, and a zero would read as a
+				// free plan.
+				cardT[p] = card
+				slotT[p] = core.Slot{Cost: math.Inf(1)}
 				continue
 			}
 			// Each unordered split {l, s^l} is visited once, as the side l
@@ -395,18 +362,25 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 			// pair shares its table loads, its connectivity test and its
 			// pruning test, and κ′ is computed once per subset. Equal costs
 			// go to the lower LHS, the winner of an ascending scan over
-			// every LHS, so plans and costs are those of that scan.
+			// every LHS, so plans and costs are those of that scan. l is the
+			// subset of low at contracted mask j, so at[j] is its position;
+			// s^l is low's subset at mask full−j plus top, its largest
+			// member, so its position adds top's step for its size.
+			low := s.Remove(s.Max())
+			lay.subsetPositions(low, at)
+			top := lay.step[s.Max()]
+			full := 1<<uint(sz-1) - 1
 			kp := m.SplitIndep(card)
 			best := math.Inf(1)
 			var bestLHS bitset.Set
-			low := s.Remove(s.Max())
-			for l := low.MinSet(); ; l = low.NextSubset(l) {
+			for l, j := low.MinSet(), 1; ; l, j = low.NextSubset(l), j+1 {
 				r := s ^ l
 				if unitAdj == nil || (unitAdj.Connected(l) && unitAdj.Connected(r)) {
 					considered += 2
-					lc, rc := slotT[l].Cost, slotT[r].Cost
+					lp, rp := at[j], at[full-j]+top[sz-bits.OnesCount(uint(j))]
+					lc, rc := slotT[lp].Cost, slotT[rp].Cost
 					if sum := lc + rc; sum <= best {
-						cl, cr := cardT[l], cardT[r]
+						cl, cr := cardT[lp], cardT[rp]
 						if total := sum + (kp + m.SplitDep(card, cl, cr)); total < best || (total == best && l < bestLHS) {
 							best, bestLHS = total, l
 						}
@@ -419,8 +393,8 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 					break
 				}
 			}
-			cardT[s] = card
-			slotT[s] = core.Slot{Cost: best, BestLHS: uint32(bestLHS)}
+			cardT[p] = card
+			slotT[p] = core.Slot{Cost: best, BestLHS: uint32(bestLHS)}
 		}
 	}
 	// Choose the winning subset: the full set if covered, else the cheapest
@@ -431,11 +405,12 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 		winner = bitset.Full(u)
 	} else {
 		bestCost, bestCard := math.Inf(1), math.Inf(1)
-		for _, s := range bySize[block] {
-			c := slotT[s].Cost
-			if c < bestCost || (c == bestCost && (cardT[s] < bestCard ||
-				(cardT[s] == bestCard && s < winner))) {
-				winner, bestCost, bestCard = s, c, cardT[s]
+		s := bitset.FirstKSubset(block)
+		for p := lay.off[block]; p < lay.size; p, s = p+1, bitset.NextKSubset(s) {
+			c := slotT[p].Cost
+			if c < bestCost || (c == bestCost && (cardT[p] < bestCard ||
+				(cardT[p] == bestCard && s < winner))) {
+				winner, bestCost, bestCard = s, c, cardT[p]
 			}
 		}
 	}
@@ -445,18 +420,19 @@ func boundedDP(opts IDPOptions, units []unit, g *joingraph.Graph, m cost.Model, 
 		if s.IsSingleton() {
 			return units[s.Min()].tree
 		}
-		lhs := bitset.Set(slotT[s].BestLHS)
+		p := lay.pos(s)
+		lhs := bitset.Set(slotT[p].BestLHS)
 		left := build(lhs)
 		right := build(s ^ lhs)
 		return &plan.Node{
 			Set:  left.Set.Union(right.Set),
-			Card: cardT[s],
-			Cost: slotT[s].Cost,
+			Card: cardT[p],
+			Cost: slotT[p].Cost,
 			Left: left, Right: right,
 		}
 	}
 	tree := build(winner)
-	return unit{tree: tree, card: cardT[winner], cost: slotT[winner].Cost}, considered, nil
+	return unit{tree: tree, card: tree.Card, cost: tree.Cost}, considered, nil
 }
 
 // ChainedLocal is the paper's §7 hybrid: an IDP seed plan polished by

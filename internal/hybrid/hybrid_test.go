@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -339,5 +340,151 @@ func TestIDPEnumeratorDisconnectedFallback(t *testing.T) {
 	// disconnected-graph round: results must be bit-identical.
 	if one.Cost != def.Cost || one.Considered != def.Considered || !one.Plan.Equal(def.Plan) {
 		t.Error("single disconnected round diverged from the default scan")
+	}
+}
+
+// TestLayoutPositions: for every u ≤ 12 and block ≤ u, Gosper's hack walks
+// the subsets of each size 1 … block to positions 0, 1, …, size−1 in turn,
+// so pos maps the subsets of at most block units one-to-one onto
+// [0, size) in the order the DP fills them. subsetPositions agrees with pos
+// on every subset of each such subset.
+func TestLayoutPositions(t *testing.T) {
+	for u := 1; u <= 12; u++ {
+		for block := 1; block <= u; block++ {
+			lay := newLayout(u, block)
+			at := make([]int, 1<<uint(block))
+			next := 0
+			for k := 1; k <= block; k++ {
+				last := bitset.LastKSubset(u, k)
+				for s := bitset.FirstKSubset(k); ; s = bitset.NextKSubset(s) {
+					if got := lay.pos(s); got != next {
+						t.Fatalf("u=%d block=%d: pos(%v) = %d, want %d", u, block, s, got, next)
+					}
+					next++
+					lay.subsetPositions(s, at)
+					for j := 1; j < 1<<uint(k); j++ {
+						if sub := s.Dilate(uint64(j)); at[j] != lay.pos(sub) {
+							t.Fatalf("u=%d block=%d s=%v: at[%d] = %d, pos(%v) = %d",
+								u, block, s, j, at[j], sub, lay.pos(sub))
+						}
+					}
+					if s == last {
+						break
+					}
+				}
+			}
+			if next != lay.size {
+				t.Fatalf("u=%d block=%d: %d subsets, size %d", u, block, next, lay.size)
+			}
+		}
+	}
+}
+
+// TestIDPGolden pins IDP's and ChainedLocal's answers bit for bit on seven
+// shapes, so a change to the DP's table layout or scan order cannot move a
+// tie silently. In uniform14 every block-sized subset of a round ties on
+// cost and cardinality, so the smallest-set rule picks the winner. The
+// values were recorded from the dense 2^u-table implementation that the
+// per-round layout replaced.
+func TestIDPGolden(t *testing.T) {
+	type want struct {
+		cost       uint64 // math.Float64bits of the plan cost
+		considered uint64
+		plan       string
+	}
+	star := func(n int) []joingraph.Pair { return joingraph.StarEdges(n, 0) }
+	random := func(n int) []joingraph.Pair { return joingraph.RandomConnectedEdges(n, n/2, 7) }
+	for _, c := range []struct {
+		name         string
+		n, k         int
+		spread       float64                      // CardinalityLadder variability
+		edges        func(n int) []joingraph.Pair // nil: no join graph
+		model        string
+		e            core.Enumerator
+		idp, chained want
+	}{
+		{"chain14", 14, 4, 0.5, joingraph.AppendixChainEdges, "naive", core.EnumeratorBlitz,
+			want{0x409e46b64e274016, 23624, "((R3 ⨝ (R9 ⨝ (R2 ⨝ ((R1 ⨝ (R0 ⨝ R7)) ⨝ R8)))) ⨝ (R10 ⨝ (R4 ⨝ (R11 ⨝ (R5 ⨝ (R12 ⨝ (R6 ⨝ R13)))))))"},
+			want{0x409e46b64e274016, 23680, "((R3 ⨝ (R9 ⨝ (R2 ⨝ ((R1 ⨝ (R0 ⨝ R7)) ⨝ R8)))) ⨝ (R10 ⨝ (R4 ⨝ (R11 ⨝ (R5 ⨝ (R12 ⨝ (R6 ⨝ R13)))))))"}},
+		{"star16", 16, 6, 0.5, star, "sortmerge", core.EnumeratorAuto,
+			want{0x41027231922852d1, 49410, "(R11 ⨝ (R13 ⨝ (R14 ⨝ (R12 ⨝ (R15 ⨝ (R7 ⨝ (R6 ⨝ (R9 ⨝ (R10 ⨝ (R8 ⨝ (R1 ⨝ (R4 ⨝ (R2 ⨝ (R3 ⨝ (R0 ⨝ R5)))))))))))))))"},
+			want{0x41027231922852d1, 49474, "(R11 ⨝ (R13 ⨝ (R14 ⨝ (R12 ⨝ (R15 ⨝ (R7 ⨝ (R6 ⨝ (R9 ⨝ (R10 ⨝ (R8 ⨝ (R1 ⨝ (R4 ⨝ (R2 ⨝ (R3 ⨝ (R0 ⨝ R5)))))))))))))))"}},
+		{"cycle18", 18, 8, 0.5, joingraph.CycleEdges, "dnl", core.EnumeratorBlitz,
+			want{0x40d3889475582afb, 16712170, "(((((R0 ⨝ R1) ⨝ R2) ⨝ (R3 ⨝ R4)) ⨝ ((R5 ⨝ R6) ⨝ R7)) ⨝ ((R16 ⨝ R17) ⨝ ((((R8 ⨝ R9) ⨝ R10) ⨝ (R11 ⨝ R12)) ⨝ ((R13 ⨝ R14) ⨝ R15))))"},
+			want{0x40d01dbee503c69a, 16712309, "(((((R0 ⨝ R1) ⨝ R2) ⨝ (R3 ⨝ R4)) ⨝ (R16 ⨝ R17)) ⨝ (((((R5 ⨝ R6) ⨝ R7) ⨝ ((R8 ⨝ R9) ⨝ R10)) ⨝ (R11 ⨝ R12)) ⨝ ((R13 ⨝ R14) ⨝ R15)))"}},
+		{"random20", 20, 6, 0.5, random, "dnl", core.EnumeratorAuto,
+			want{0x40d7fdafcc6b433f, 37314, "((R2 ⨝ R9) ⨝ (R18 ⨝ (((R0 ⨝ R7) ⨝ (((R6 ⨝ R11) ⨝ R13) ⨝ R17)) ⨝ ((R14 ⨝ R19) ⨝ (((R4 ⨝ R12) ⨝ R15) ⨝ ((R1 ⨝ R3) ⨝ ((R8 ⨝ R10) ⨝ (R5 ⨝ R16))))))))"},
+			want{0x40d7cba1e6aed249, 37413, "((R2 ⨝ R9) ⨝ (R18 ⨝ (((R0 ⨝ R7) ⨝ (((R6 ⨝ R11) ⨝ R13) ⨝ R17)) ⨝ ((R14 ⨝ R19) ⨝ (((R4 ⨝ R12) ⨝ (R15 ⨝ (R1 ⨝ R3))) ⨝ ((R8 ⨝ R10) ⨝ (R5 ⨝ R16)))))))"}},
+		{"chain22", 22, 6, 0.5, joingraph.AppendixChainEdges, "sortmerge", core.EnumeratorBlitz,
+			want{0x41512f30bcd6b5dc, 6610000, "(((R9 ⨝ (R8 ⨝ R19)) ⨝ (R14 ⨝ (R13 ⨝ (R3 ⨝ (R2 ⨝ ((R1 ⨝ (R0 ⨝ R11)) ⨝ R12)))))) ⨝ ((R20 ⨝ (R10 ⨝ R21)) ⨝ (R18 ⨝ (R17 ⨝ (R7 ⨝ ((R4 ⨝ R15) ⨝ (R6 ⨝ (R5 ⨝ R16))))))))"},
+			want{0x410ff1e40be33066, 6610147, "(((R9 ⨝ (R8 ⨝ R19)) ⨝ (R20 ⨝ (R10 ⨝ R21))) ⨝ ((R14 ⨝ ((R13 ⨝ R3) ⨝ (R2 ⨝ ((R1 ⨝ (R0 ⨝ R11)) ⨝ R12)))) ⨝ (R18 ⨝ ((R17 ⨝ R7) ⨝ ((R4 ⨝ R15) ⨝ (R6 ⨝ (R5 ⨝ R16)))))))"}},
+		{"edgeless17", 17, 4, 0.5, nil, "naive", core.EnumeratorBlitz,
+			want{0x48ada62d35e3b796, 61296, "(((R13 ⨝ R14) ⨝ (R12 ⨝ R15)) ⨝ ((((R1 ⨝ R2) ⨝ (R0 ⨝ R3)) ⨝ ((R5 ⨝ R6) ⨝ (R4 ⨝ R7))) ⨝ (R16 ⨝ ((R9 ⨝ R10) ⨝ (R8 ⨝ R11)))))"},
+			want{0x48ada62d35e3b5fc, 61405, "((((R13 ⨝ R14) ⨝ R12) ⨝ (((R1 ⨝ R2) ⨝ (R0 ⨝ R3)) ⨝ ((R5 ⨝ R4) ⨝ (R6 ⨝ R7)))) ⨝ (R15 ⨝ (R16 ⨝ (R9 ⨝ (R10 ⨝ (R8 ⨝ R11))))))"}},
+		{"uniform14", 14, 4, 0, nil, "naive", core.EnumeratorBlitz,
+			want{0x47226c5f1f2a9c8a, 23624, "(((R8 ⨝ R9) ⨝ (R10 ⨝ R11)) ⨝ ((R12 ⨝ ((R0 ⨝ R1) ⨝ (R2 ⨝ R3))) ⨝ (R13 ⨝ ((R4 ⨝ R5) ⨝ (R6 ⨝ R7)))))"},
+			want{0x47226c5f1f20d7b9, 23685, "(((R8 ⨝ R9) ⨝ (R12 ⨝ ((R0 ⨝ R1) ⨝ (R2 ⨝ R3)))) ⨝ ((R10 ⨝ R11) ⨝ (R13 ⨝ ((R4 ⨝ R5) ⨝ (R6 ⨝ R7)))))"}},
+	} {
+		cards := joingraph.CardinalityLadder(c.n, 300, c.spread)
+		var g *joingraph.Graph
+		if c.edges != nil {
+			g = joingraph.Build(c.edges(c.n), cards)
+		}
+		m, err := cost.ByName(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := IDPOptions{K: c.k, Enumerator: c.e, Stochastic: baseline.StochasticOptions{Seed: 1}}
+		for _, run := range []struct {
+			name string
+			fn   func([]float64, *joingraph.Graph, cost.Model, IDPOptions) (*Result, error)
+			want want
+		}{{"IDP", IDP, c.idp}, {"ChainedLocal", ChainedLocal, c.chained}} {
+			res, err := run.fn(cards, g, m, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, run.name, err)
+			}
+			got := want{math.Float64bits(res.Cost), res.Considered, res.Plan.Expression(nil)}
+			if got != run.want {
+				t.Errorf("%s %s:\n got %#x, %d, %s\nwant %#x, %d, %s", c.name, run.name,
+					got.cost, got.considered, got.plan, run.want.cost, run.want.considered, run.want.plan)
+			}
+		}
+	}
+}
+
+// BenchmarkIDP times IDP on chains at the ladder's block size (K = 6, the
+// naive model) and the hybrid experiment's (K = 8, disk nested loops).
+func BenchmarkIDP(b *testing.B) {
+	for _, c := range []struct {
+		n, k  int
+		e     core.Enumerator
+		model string
+	}{
+		{12, 6, core.EnumeratorBlitz, "naive"},
+		{16, 6, core.EnumeratorBlitz, "naive"},
+		{20, 6, core.EnumeratorBlitz, "naive"},
+		{22, 6, core.EnumeratorBlitz, "naive"},
+		{26, 6, core.EnumeratorBlitz, "naive"},
+		{20, 6, core.EnumeratorAuto, "naive"},
+		{15, 8, core.EnumeratorBlitz, "dnl"},
+		{18, 8, core.EnumeratorBlitz, "dnl"},
+		{21, 8, core.EnumeratorBlitz, "dnl"},
+		{24, 8, core.EnumeratorBlitz, "dnl"},
+	} {
+		m, err := cost.ByName(c.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cards, g := chainQuery(c.n, 464)
+		opts := IDPOptions{K: c.k, Enumerator: c.e}
+		b.Run(fmt.Sprintf("n=%d/k=%d/%v/%s", c.n, c.k, c.e, c.model), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := IDP(cards, g, m, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +118,27 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 			t.Fatalf("timed out waiting for %s", msg)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLargeChainBoundedAlloc: under the default Config an n = 26 chain's
+// exhaustive table (2 GiB) exceeds the per-request memory budget, so the
+// deadline ladder answers from its IDP or greedy rung. The IDP rung's tables
+// hold only the subsets of at most K units, so the request allocates
+// megabytes, not a dense 2^26-entry table.
+func TestLargeChainBoundedAlloc(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, b := postOptimize(t, ts.URL, chainBody(26, 1000))
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d: %s", code, b)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("mode %s, %.1f MiB allocated", decodeResponse(t, b).Mode, float64(alloc)/(1<<20))
+	if alloc > 64<<20 {
+		t.Fatalf("allocated %.1f MiB, want at most 64 MiB", float64(alloc)/(1<<20))
 	}
 }
 

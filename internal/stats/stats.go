@@ -1,6 +1,6 @@
 // Package stats provides the small numeric toolkit the benchmark harness
-// needs: geometric means, harmonic numbers (for the §3.3 expected-count
-// analysis), logarithmic parameter grids (the Appendix cardinality axis),
+// needs: geometric means, logarithmic parameter grids (the Appendix
+// cardinality axis),
 // and linear least squares (for fitting the paper's execution-time formula
 // (3) to measured timings, as done for Figure 2).
 package stats
@@ -40,34 +40,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Harmonic returns H_k = Σ_{i=1..k} 1/i exactly (by summation) for k ≤ 10⁶,
-// and by the asymptotic ln k + γ + 1/(2k) beyond.
-func Harmonic(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k <= 1_000_000 {
-		h := 0.0
-		for i := 1; i <= k; i++ {
-			h += 1 / float64(i)
-		}
-		return h
-	}
-	return math.Log(float64(k)) + EulerGamma + 1/(2*float64(k))
-}
-
-// EulerGamma is the Euler–Mascheroni constant γ (the paper cites Knuth for
-// H_k ≈ ln k + γ).
-const EulerGamma = 0.57721566490153286
-
-// ExpectedCondCount returns the §3.3 prediction for the number of executions
-// of the conditional block in find_best_split across a whole run:
-// (ln 2/2)·n·2^n + γ·2^n.
-func ExpectedCondCount(n int) float64 {
-	p2 := math.Pow(2, float64(n))
-	return math.Ln2/2*float64(n)*p2 + EulerGamma*p2
 }
 
 // LogGrid returns points from lo to hi (inclusive, within floating rounding)

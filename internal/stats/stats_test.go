@@ -43,37 +43,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHarmonic(t *testing.T) {
-	if got := Harmonic(1); got != 1 {
-		t.Errorf("H_1 = %v", got)
-	}
-	if got := Harmonic(4); !almost(got, 1+0.5+1.0/3+0.25, 1e-12) {
-		t.Errorf("H_4 = %v", got)
-	}
-	if got := Harmonic(0); got != 0 {
-		t.Errorf("H_0 = %v", got)
-	}
-	// The asymptotic branch agrees with the exact sum near the cutover.
-	k := 1_000_000
-	exact := Harmonic(k)
-	asym := math.Log(float64(k)) + EulerGamma + 1/(2*float64(k))
-	if !almost(exact, asym, 1e-9) {
-		t.Errorf("H_%d exact %v vs asym %v", k, exact, asym)
-	}
-	// And the paper's H_k ≈ ln k + γ within 1e-3 at k = 2^15.
-	if got := Harmonic(1 << 15); !almost(got, math.Log(float64(1<<15))+EulerGamma, 1e-4) {
-		t.Errorf("H_{2^15} = %v", got)
-	}
-}
-
-func TestExpectedCondCount(t *testing.T) {
-	// n = 4: (ln2/2)·4·16 + γ·16 ≈ 22.18 + 9.24.
-	want := math.Ln2/2*4*16 + EulerGamma*16
-	if got := ExpectedCondCount(4); !almost(got, want, 1e-12) {
-		t.Errorf("ExpectedCondCount(4) = %v, want %v", got, want)
-	}
-}
-
 func TestLogGrid(t *testing.T) {
 	g := LogGrid(1, 1e6, 10)
 	if len(g) != 10 {

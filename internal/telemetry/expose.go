@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // WriteProm renders every registered metric in the Prometheus text
@@ -148,12 +147,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// Timer measures one code section into a histogram:
-//
-//	defer tel.Timer(h)()
-func Timer(h *Histogram) func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start)) }
 }

@@ -178,16 +178,3 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("histogram p50 = %v, want > 0", hs["p50_seconds"])
 	}
 }
-
-func TestTimer(t *testing.T) {
-	var h Histogram
-	done := Timer(&h)
-	time.Sleep(time.Millisecond)
-	done()
-	if h.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", h.Count())
-	}
-	if h.Sum() < time.Millisecond {
-		t.Fatalf("Sum = %v, want ≥ 1ms", h.Sum())
-	}
-}

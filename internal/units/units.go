@@ -1,7 +1,7 @@
-// Package units parses and formats byte counts with binary-unit suffixes.
-// It is shared by every binary that takes a byte budget on its command line
-// (blitzsplit -mem-budget, blitzbench -mem-budget/-cache-bytes, blitzd's
-// cache/arena/admission budgets) and by human-readable telemetry output.
+// Package units parses byte counts with binary-unit suffixes. It is shared
+// by every binary that takes a byte budget on its command line (blitzsplit
+// -mem-budget, blitzbench -mem-budget/-cache-bytes, blitzd's
+// cache/arena/admission budgets).
 package units
 
 import (
@@ -39,22 +39,4 @@ func ParseBytes(s string) (uint64, error) {
 		return 0, fmt.Errorf("byte count %q overflows", s)
 	}
 	return v << shift, nil
-}
-
-// FormatBytes renders a byte count with the largest binary unit that divides
-// it exactly ("65536" → "64KiB", "3221225472" → "3GiB"), falling back to the
-// plain decimal count otherwise. The output always round-trips through
-// ParseBytes to the same value.
-func FormatBytes(v uint64) string {
-	for _, u := range []struct {
-		suffix string
-		shift  uint
-	}{
-		{"GiB", 30}, {"MiB", 20}, {"KiB", 10},
-	} {
-		if v != 0 && v%(uint64(1)<<u.shift) == 0 {
-			return strconv.FormatUint(v>>u.shift, 10) + u.suffix
-		}
-	}
-	return strconv.FormatUint(v, 10)
 }

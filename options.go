@@ -195,7 +195,9 @@ func WithTimeout(d time.Duration) Option {
 // the 2^n-bit connectivity bitmap and, with WithParallelism, a rank-layer
 // buffer (core.CCPFootprint). Without WithDeadlineLadder
 // the rejection surfaces as a *BudgetError; with it, the ladder skips
-// straight to the bounded-memory rungs (IDP, then greedy). A plan-cache hit
+// straight to the bounded-memory rungs (IDP, then greedy). The IDP rung's
+// tables hold one 24-byte entry per subset of at most six relations, at
+// most 17.6 MiB at n = 30; the budget does not count them. A plan-cache hit
 // is exempt: serving a cached plan allocates no table at all.
 func WithMemoryBudget(budget uint64) Option {
 	return func(c *config) error {

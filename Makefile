@@ -54,7 +54,7 @@ race:
 # shutdown and the cache/arena locking.
 stress:
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'Budget|Cancel|Ladder|Leak|Deadline|Clamp|Engine|Cache|Arena|Concurrent|Canonicalizer|Enumerator|Snapshot|Quarantine|Panic' \
+		-run 'Budget|Cancel|Ladder|Leak|Deadline|Clamp|Engine|Cache|Arena|Reuse|Concurrent|Canonicalizer|Enumerator|Snapshot|Quarantine|Panic' \
 		./internal/core/ ./internal/hybrid/ ./internal/plancache/ ./internal/canon/ .
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'FuzzEnumerators|CCP' \

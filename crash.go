@@ -25,8 +25,8 @@ func (e *InternalError) Error() string {
 }
 
 // ErrQuarantined is the sentinel wrapped by *QuarantineError: the query's
-// canonical shape has panicked the optimizer QuarantineThreshold times and
-// the engine refuses to run it again. Match with errors.Is.
+// canonical shape has panicked the optimizer DefaultQuarantineThreshold times
+// and the engine refuses to run it again. Match with errors.Is.
 var ErrQuarantined = errors.New("blitzsplit: query shape quarantined after repeated optimizer panics")
 
 // QuarantineError reports a refused quarantined shape; Strikes is how many
@@ -181,12 +181,12 @@ func (e *Engine) recordPanic(v any, key string) error {
 // are refused with *QuarantineError instead of re-running the panicking
 // search.
 func (e *Engine) strike(key string) {
-	if e.quarThreshold <= 0 || key == "" {
+	if key == "" {
 		return
 	}
 	e.quar.mu.Lock()
 	e.quar.strikes[key]++
-	if e.quar.strikes[key] == e.quarThreshold {
+	if e.quar.strikes[key] == DefaultQuarantineThreshold {
 		e.quar.quarantined++
 	}
 	e.quar.mu.Unlock()
@@ -199,11 +199,11 @@ func (e *Engine) strike(key string) {
 // quarantined. The []byte key avoids allocating on the serve path (the map
 // index uses the compiler's zero-copy conversion).
 func (e *Engine) quarantineStrikes(key []byte) (int, bool) {
-	if e.quarThreshold <= 0 || e.quar.total.Load() == 0 {
+	if e.quar.total.Load() == 0 {
 		return 0, false
 	}
 	e.quar.mu.Lock()
 	defer e.quar.mu.Unlock()
 	n := e.quar.strikes[string(key)]
-	return n, n >= e.quarThreshold
+	return n, n >= DefaultQuarantineThreshold
 }

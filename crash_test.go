@@ -89,26 +89,6 @@ func TestEngineQuarantine(t *testing.T) {
 	}
 }
 
-// TestEngineQuarantineDisabled: a negative threshold recovers panics but
-// never quarantines.
-func TestEngineQuarantineDisabled(t *testing.T) {
-	defer faultinject.Reset()
-	e := New(EngineOptions{QuarantineThreshold: -1})
-	cards, edges := starQuery(5)
-	q := permutedQuery(t, cards, edges, identityPerm(5))
-	faultinject.Set(faultinject.EngineOptimize, func() { panic("x") })
-	for i := 0; i < 10; i++ {
-		var ie *InternalError
-		if _, err := e.Optimize(nil, q); !errors.As(err, &ie) {
-			t.Fatalf("iteration %d: err = %v, want *InternalError (never quarantined)", i, err)
-		}
-	}
-	faultinject.Reset()
-	if _, err := e.Optimize(nil, q); err != nil {
-		t.Fatalf("recovered engine refused query: %v", err)
-	}
-}
-
 // TestEngineSnapshotRoundTrip: optimize → snapshot → restore into a fresh
 // engine → the replayed query is a cache hit, bit-identical to the original.
 func TestEngineSnapshotRoundTrip(t *testing.T) {

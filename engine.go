@@ -20,14 +20,12 @@ import (
 
 // EngineOptions configures New. The zero value is a served-traffic default:
 // a 64 MiB plan cache over 16 shards, a 256 MiB table arena, exact
-// (unquantized) selectivities.
+// (unquantized) selectivities, and quarantine after
+// DefaultQuarantineThreshold panics per query shape.
 type EngineOptions struct {
 	// CacheBytes bounds the plan cache's footprint; 0 selects the 64 MiB
 	// default. Ignored when DisableCache is set.
 	CacheBytes uint64
-	// CacheShards is the shard count (rounded up to a power of two); 0
-	// selects 16. More shards reduce lock contention under concurrency.
-	CacheShards int
 	// DisableCache turns the plan cache off entirely: every Optimize runs
 	// cold (but still through the table arena). The package-level default
 	// engine runs with the cache disabled so the one-shot API keeps its
@@ -44,17 +42,13 @@ type EngineOptions struct {
 	// optimum for the quantized query — an approximation. 0 (the default)
 	// caches exactly: hits are bit-identical to cold optimizations.
 	SelectivityQuantum float64
-	// QuarantineThreshold is how many recovered optimizer panics a single
-	// cached query shape may cause before the engine quarantines it —
-	// refusing further requests for that shape with *QuarantineError instead
-	// of re-running a search known to crash. 0 selects the default of 3; a
-	// negative value disables quarantine (panics are still recovered and
-	// counted).
-	QuarantineThreshold int
 }
 
-// DefaultQuarantineThreshold is the panic count at which an engine
-// quarantines a query shape when EngineOptions.QuarantineThreshold is 0.
+// DefaultQuarantineThreshold is how many recovered optimizer panics a single
+// cached query shape may cause before the engine quarantines it — refusing
+// further requests for that shape with *QuarantineError instead of
+// re-running a search known to crash. Every panic is still recovered and
+// counted.
 const DefaultQuarantineThreshold = 3
 
 // Engine is a long-lived, concurrency-safe optimizer: the one-shot facade
@@ -78,11 +72,10 @@ type Engine struct {
 	execs     atomic.Uint64
 	reopts    atomic.Uint64
 	downranks atomic.Uint64
-	// panics counts optimizer panics recovered at the engine boundary;
-	// quarThreshold and quar implement the K-strike quarantine (crash.go).
-	panics        atomic.Uint64
-	quarThreshold int
-	quar          struct {
+	// panics counts optimizer panics recovered at the engine boundary; quar
+	// implements the K-strike quarantine (crash.go).
+	panics atomic.Uint64
+	quar   struct {
 		total       atomic.Uint64 // strikes ever recorded; 0 gates the fast path
 		mu          sync.Mutex
 		strikes     map[string]int
@@ -112,16 +105,10 @@ func New(opts EngineOptions) *Engine {
 		arena:   core.NewArena(opts.ArenaBytes),
 		quantum: opts.SelectivityQuantum,
 	}
-	switch {
-	case opts.QuarantineThreshold > 0:
-		e.quarThreshold = opts.QuarantineThreshold
-	case opts.QuarantineThreshold == 0:
-		e.quarThreshold = DefaultQuarantineThreshold
-	}
 	e.quar.strikes = make(map[string]int)
 	e.scratch.New = func() any { return new(serveScratch) }
 	if !opts.DisableCache {
-		e.cache = plancache.New(opts.CacheBytes, opts.CacheShards)
+		e.cache = plancache.New(opts.CacheBytes, 0)
 	}
 	return e
 }
@@ -207,7 +194,7 @@ func (e *Engine) Stats() EngineStats {
 // A panic anywhere below this boundary — an optimizer bug, or an injected
 // fault — is recovered and returned as an *InternalError rather than
 // crashing the caller; a shape that panics repeatedly is quarantined (see
-// EngineOptions.QuarantineThreshold).
+// DefaultQuarantineThreshold).
 func (e *Engine) Optimize(ctx context.Context, q *Query, options ...Option) (r *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -36,19 +36,15 @@ type ExecuteOptions struct {
 	// MaxRows aborts execution with ErrRowLimit when an intermediate result
 	// exceeds it (0 means 10 million).
 	MaxRows int
-	// BatchSize bounds the rows a join probes per batch (0 means 1024).
-	BatchSize int
 	// CollectOps records a per-operator breakdown in ExecuteResult.Exec.Ops.
 	CollectOps bool
 	// Adaptive enables mid-query re-optimization: after each join, observed
-	// cardinality is compared against the estimate, and on deviation beyond
-	// ReoptRatio the remaining relations are re-planned through this Engine
-	// (cached, budget-governed) and spliced in.
+	// cardinality is compared against the estimate, and when one exceeds the
+	// other more than 3× (+1-smoothed, and at least one of them 16 rows or
+	// more) the remaining relations are re-planned through this Engine
+	// (cached, budget-governed) and spliced in, at most 3 times per
+	// execution.
 	Adaptive bool
-	// ReoptRatio overrides the deviation trigger (0 means 3); MaxReopts
-	// bounds replans per execution (0 means 3).
-	ReoptRatio float64
-	MaxReopts  int
 }
 
 // ExecuteResult is an optimization plus its execution: the embedded Result
@@ -134,16 +130,11 @@ func (e *Engine) executePlan(ctx context.Context, q *Query, db *Database, res *R
 		Algorithm:         alg,
 		UsePlanAlgorithms: eo.UsePlanAlgorithms,
 		MaxRows:           eo.MaxRows,
-		BatchSize:         eo.BatchSize,
 		CollectOps:        eo.CollectOps,
 	}
 	var out *exec.Result
 	if eo.Adaptive {
-		out, err = exec.RunAdaptive(db, res.Plan, xopts, exec.AdaptiveOptions{
-			Ratio:      eo.ReoptRatio,
-			MaxReopts:  eo.MaxReopts,
-			Reoptimize: e.groupReoptimizer(ctx, options),
-		})
+		out, err = exec.RunAdaptive(db, res.Plan, xopts, e.groupReoptimizer(ctx, options))
 	} else {
 		out, err = exec.Run(db, res.Plan, xopts)
 	}

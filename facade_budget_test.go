@@ -107,6 +107,61 @@ func TestLadderLargeNStaysInBudget(t *testing.T) {
 	}
 }
 
+// TestLadderWithoutBudgetStaysInArena: a ladder with no WithMemoryBudget is
+// admitted against the engine arena's capacity (256 MiB by default), so
+// chains whose 2^n tables need 512 MiB (n = 24) and 2 GiB (n = 26) answer
+// from the lower rungs without allocating those tables, inside twice the
+// deadline.
+func TestLadderWithoutBudgetStaysInArena(t *testing.T) {
+	const limit = 64 << 20
+	const deadline = 50 * time.Millisecond
+	for _, n := range []int{24, 26} {
+		q := ladderChain(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := q.Optimize(WithTimeout(deadline), WithDeadlineLadder())
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("n=%d: mode %s after %v, %.1f MiB allocated", n, res.Mode, elapsed, float64(alloc)/(1<<20))
+		if alloc > limit {
+			t.Errorf("n=%d: allocated %.1f MiB, want ≤ %d MiB", n, float64(alloc)/(1<<20), limit>>20)
+		}
+		if elapsed > 2*deadline {
+			t.Errorf("n=%d: answered after %v, deadline %v", n, elapsed, deadline)
+		}
+		requireVerified(t, res)
+	}
+}
+
+// TestLadderArenaCapacityGatesTable is the clock-free twin of
+// TestLadderWithoutBudgetStaysInArena: on an engine whose arena holds 1 MiB,
+// a 16-chain's 2 MiB table is refused under the ladder, which answers from
+// IDP; without the ladder nothing is admitted and the same engine answers
+// exhaustively.
+func TestLadderArenaCapacityGatesTable(t *testing.T) {
+	e := New(EngineOptions{ArenaBytes: 1 << 20})
+	res, err := e.Optimize(nil, ladderChain(16), WithDeadlineLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeIDP {
+		t.Fatalf("ladder mode = %q, want %q", res.Mode, ModeIDP)
+	}
+	requireVerified(t, res)
+	res, err = e.Optimize(nil, ladderChain(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeExhaustive {
+		t.Fatalf("mode without the ladder = %q, want %q", res.Mode, ModeExhaustive)
+	}
+}
+
 // TestLadderWithoutLadderMemoryBudgetFails: the same budget without
 // WithDeadlineLadder is a hard typed failure.
 func TestLadderWithoutLadderMemoryBudgetFails(t *testing.T) {

@@ -20,6 +20,22 @@ import (
 // exhaustive search the method of choice into the mid-teens — is reproduced
 // by benchmarking these against blitzsplit.
 
+// The annealing schedule; SimulatedAnnealing documents its start.
+const (
+	// coolingRate multiplies the temperature after each level.
+	coolingRate = 0.95
+	// minTemperatureRatio stops annealing once the temperature falls below
+	// this fraction of its start.
+	minTemperatureRatio = 1e-6
+)
+
+// maxMovesPerClimb bounds the moves within one hill climb: 50·n².
+func maxMovesPerClimb(n int) int { return 50 * n * n }
+
+// stepsPerTemperature is the number of moves annealing proposes at each
+// temperature level: 16·n.
+func stepsPerTemperature(n int) int { return 16 * n }
+
 // StochasticOptions configures the randomized searches. Zero values select
 // documented defaults.
 type StochasticOptions struct {
@@ -28,19 +44,6 @@ type StochasticOptions struct {
 	// Restarts is the number of independent starts for iterative improvement
 	// (default 10).
 	Restarts int
-	// MaxMovesPerClimb bounds moves within one hill-climb (default 50·n²).
-	MaxMovesPerClimb int
-	// InitialTemperature for simulated annealing (default: 2 × the cost of
-	// the initial random plan).
-	InitialTemperature float64
-	// CoolingRate multiplies the temperature per step (default 0.95).
-	CoolingRate float64
-	// StepsPerTemperature is the number of proposed moves at each
-	// temperature level (default 16·n).
-	StepsPerTemperature int
-	// MinTemperatureRatio stops annealing when T falls below this fraction
-	// of the initial temperature (default 1e-6).
-	MinTemperatureRatio float64
 }
 
 func (o StochasticOptions) seed() int64 {
@@ -55,34 +58,6 @@ func (o StochasticOptions) restarts() int {
 		return 10
 	}
 	return o.Restarts
-}
-
-func (o StochasticOptions) maxMoves(n int) int {
-	if o.MaxMovesPerClimb > 0 {
-		return o.MaxMovesPerClimb
-	}
-	return 50 * n * n
-}
-
-func (o StochasticOptions) coolingRate() float64 {
-	if o.CoolingRate <= 0 || o.CoolingRate >= 1 {
-		return 0.95
-	}
-	return o.CoolingRate
-}
-
-func (o StochasticOptions) stepsPerTemperature(n int) int {
-	if o.StepsPerTemperature > 0 {
-		return o.StepsPerTemperature
-	}
-	return 16 * n
-}
-
-func (o StochasticOptions) minTempRatio() float64 {
-	if o.MinTemperatureRatio <= 0 {
-		return 1e-6
-	}
-	return o.MinTemperatureRatio
 }
 
 // RandomPlan builds a uniformly shaped random bushy tree over the relations:
@@ -186,10 +161,10 @@ func fixSets(n *plan.Node) bitset.Set {
 
 // HillClimbFrom hill-climbs from the given starting plan: it proposes random
 // neighbors and accepts any cost reduction, stopping after patience
-// consecutive non-improving proposals or maxMoves total. The paper's §7
-// hybrid ("combines dynamic programming with randomized search") uses this
-// to polish a dynamic-programming seed plan. Returns the improved plan (a
-// copy; start is untouched) and the number of plans costed.
+// consecutive non-improving proposals or maxMovesPerClimb(n) total. The
+// paper's §7 hybrid ("combines dynamic programming with randomized search")
+// uses this to polish a dynamic-programming seed plan. Returns the improved
+// plan (a copy; start is untouched) and the number of plans costed.
 func HillClimbFrom(start *plan.Node, cards []float64, g *joingraph.Graph, m cost.Model,
 	opts StochasticOptions) (*plan.Node, uint64) {
 	n := len(cards)
@@ -200,7 +175,7 @@ func HillClimbFrom(start *plan.Node, cards []float64, g *joingraph.Graph, m cost
 	var considered uint64
 	patience := 4 * n
 	stale := 0
-	for moves := 0; moves < opts.maxMoves(n) && stale < patience; moves++ {
+	for moves := 0; moves < maxMovesPerClimb(n) && stale < patience; moves++ {
 		next := neighbor(cur, cards, g, m, rng)
 		considered++
 		if next.Cost < cur.Cost {
@@ -230,7 +205,7 @@ func IterativeImprovement(cards []float64, g *joingraph.Graph, m cost.Model, opt
 		cur := RandomPlan(cards, g, m, rng)
 		considered++
 		stale := 0
-		for moves := 0; moves < opts.maxMoves(n) && stale < patience; moves++ {
+		for moves := 0; moves < maxMovesPerClimb(n) && stale < patience; moves++ {
 			next := neighbor(cur, cards, g, m, rng)
 			considered++
 			if next.Cost < cur.Cost {
@@ -252,7 +227,8 @@ func IterativeImprovement(cards []float64, g *joingraph.Graph, m cost.Model, opt
 }
 
 // SimulatedAnnealing runs a standard geometric-cooling annealer over the same
-// move set. Considered counts plans costed.
+// move set, starting at twice the cost of its first random plan (1 if that
+// cost is ≤ 0). Considered counts plans costed.
 func SimulatedAnnealing(cards []float64, g *joingraph.Graph, m cost.Model, opts StochasticOptions) (*Result, error) {
 	if err := validate(cards, g); err != nil {
 		return nil, err
@@ -262,16 +238,13 @@ func SimulatedAnnealing(cards []float64, g *joingraph.Graph, m cost.Model, opts 
 	cur := RandomPlan(cards, g, m, rng)
 	best := cur
 	var considered uint64 = 1
-	t0 := opts.InitialTemperature
+	t0 := 2 * cur.Cost
 	if t0 <= 0 {
-		t0 = 2 * cur.Cost
-		if t0 <= 0 {
-			t0 = 1
-		}
+		t0 = 1
 	}
-	minT := t0 * opts.minTempRatio()
-	steps := opts.stepsPerTemperature(n)
-	for temp := t0; temp > minT; temp *= opts.coolingRate() {
+	minT := t0 * minTemperatureRatio
+	steps := stepsPerTemperature(n)
+	for temp := t0; temp > minT; temp *= coolingRate {
 		for i := 0; i < steps; i++ {
 			next := neighbor(cur, cards, g, m, rng)
 			considered++

@@ -182,20 +182,18 @@ func execAdaptive(cfg Config) ([]ExecRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := exec.RunAdaptive(inst, p, exec.Options{}, exec.AdaptiveOptions{
-		Reoptimize: func(gq exec.GroupQuery) (*plan.Node, error) {
-			g := joingraph.New(len(gq.Groups))
-			for _, e := range gq.Edges {
-				if err := g.AddEdge(e.A, e.B, e.Selectivity); err != nil {
-					return nil, err
-				}
-			}
-			r, err := baseline.GreedyLeftDeep(gq.Cards, g, cost.Naive{})
-			if err != nil {
+	adaptive, err := exec.RunAdaptive(inst, p, exec.Options{}, func(gq exec.GroupQuery) (*plan.Node, error) {
+		g := joingraph.New(len(gq.Groups))
+		for _, e := range gq.Edges {
+			if err := g.AddEdge(e.A, e.B, e.Selectivity); err != nil {
 				return nil, err
 			}
-			return r.Plan, nil
-		},
+		}
+		r, err := baseline.GreedyLeftDeep(gq.Cards, g, cost.Naive{})
+		if err != nil {
+			return nil, err
+		}
+		return r.Plan, nil
 	})
 	if err != nil {
 		return nil, err

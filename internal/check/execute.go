@@ -50,7 +50,7 @@ func ExecutionAgree(inst *engine.Instance, maxRows int, plans ...*plan.Node) err
 		}
 		// The adaptive driver must be a pure scheduling change: same rows,
 		// whatever it replans.
-		res, err := exec.RunAdaptive(inst, p, opts, exec.AdaptiveOptions{Reoptimize: greedyReopt})
+		res, err := exec.RunAdaptive(inst, p, opts, greedyReopt)
 		var got int64
 		if err == nil {
 			got = res.Rows

@@ -21,9 +21,10 @@ import (
 	"strings"
 )
 
-// DefaultVirtualNodes is the per-node point count used when NewRing is given
-// zero. 128 points per node keeps the expected per-node load share within a
-// few percent of uniform for small static clusters.
+// DefaultVirtualNodes is the number of points NewRing places per node. 128
+// points per node keeps the expected per-node load share within a few
+// percent of uniform for small static clusters. Every node of every process
+// uses the same count, which is what lets Digest leave it out.
 const DefaultVirtualNodes = 128
 
 // Node is one cluster member: a stable identifier and the base URL peers use
@@ -90,14 +91,10 @@ type point struct {
 	node int // index into nodes
 }
 
-// NewRing builds a ring with vnodes points per node (0 selects
-// DefaultVirtualNodes). The ring depends only on the membership set — input
-// order never changes ownership. An empty membership yields a ring whose
-// Owner returns the zero Node.
-func NewRing(nodes []Node, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring with DefaultVirtualNodes points per node. The ring
+// depends only on the membership set — input order never changes ownership.
+// An empty membership yields a ring whose Owner returns the zero Node.
+func NewRing(nodes []Node) *Ring {
 	r := &Ring{
 		nodes: append([]Node(nil), nodes...),
 		byID:  make(map[string]Node, len(nodes)),
@@ -106,9 +103,9 @@ func NewRing(nodes []Node, vnodes int) *Ring {
 	for _, n := range r.nodes {
 		r.byID[n.ID] = n
 	}
-	r.points = make([]point, 0, len(r.nodes)*vnodes)
+	r.points = make([]point, 0, len(r.nodes)*DefaultVirtualNodes)
 	for i, n := range r.nodes {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			// The point hash covers only the ID, never the URL: re-advertising
 			// a node at a new address must not shuffle ownership.
 			r.points = append(r.points, point{hash: pointHash(n.ID, v), node: i})
@@ -189,9 +186,10 @@ func (r *Ring) Lookup(id string) (Node, bool) {
 func (r *Ring) Size() int { return len(r.nodes) }
 
 // Digest is a short hex fingerprint of the membership (IDs and URLs). Two
-// rings with the same digest assign every fingerprint identically; the warm
-// handoff protocol exchanges digests so a node never streams entries
-// filtered by a ring its peer does not share.
+// rings with the same digest assign every fingerprint identically: the point
+// count per node is the fixed DefaultVirtualNodes, so the membership alone
+// decides ownership. The warm handoff protocol exchanges digests so a node
+// never streams entries filtered by a ring its peer does not share.
 func (r *Ring) Digest() string { return r.digest }
 
 func digest(nodes []Node) string {

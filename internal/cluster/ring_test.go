@@ -29,8 +29,8 @@ func fingerprints(n int) [][]byte {
 // flag parse with no coordination.
 func TestRingOrderIndependent(t *testing.T) {
 	nodes := threeNodes()
-	a := NewRing(nodes, 0)
-	b := NewRing([]Node{nodes[2], nodes[0], nodes[1]}, 0)
+	a := NewRing(nodes)
+	b := NewRing([]Node{nodes[2], nodes[0], nodes[1]})
 	for _, fp := range fingerprints(500) {
 		if ao, bo := a.Owner(fp), b.Owner(fp); ao.ID != bo.ID {
 			t.Fatalf("fingerprint %q: owner %s vs %s under permuted membership", fp, ao.ID, bo.ID)
@@ -45,8 +45,8 @@ func TestRingOrderIndependent(t *testing.T) {
 // accidental hash change (which would strand every cached plan on the wrong
 // node during a rolling restart) fails loudly.
 func TestRingDeterministicAcrossBuilds(t *testing.T) {
-	r1 := NewRing(threeNodes(), 64)
-	r2 := NewRing(threeNodes(), 64)
+	r1 := NewRing(threeNodes())
+	r2 := NewRing(threeNodes())
 	for _, fp := range fingerprints(200) {
 		if r1.Owner(fp).ID != r2.Owner(fp).ID {
 			t.Fatalf("two identical rings disagree on %q", fp)
@@ -57,7 +57,7 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 // TestRingBalance checks virtual nodes spread load: over many fingerprints
 // no node of three owns less than half or more than double its fair share.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(threeNodes(), 0)
+	r := NewRing(threeNodes())
 	counts := map[string]int{}
 	const total = 9000
 	for _, fp := range fingerprints(total) {
@@ -80,10 +80,10 @@ func TestRingBalance(t *testing.T) {
 // change the digest, because peers need to notice they hold a stale URL.
 func TestRingURLChangeKeepsOwnership(t *testing.T) {
 	nodes := threeNodes()
-	before := NewRing(nodes, 0)
+	before := NewRing(nodes)
 	moved := threeNodes()
 	moved[1].URL = "http://10.0.0.9:9999"
-	after := NewRing(moved, 0)
+	after := NewRing(moved)
 	for _, fp := range fingerprints(500) {
 		if before.Owner(fp).ID != after.Owner(fp).ID {
 			t.Fatalf("ownership moved when only a URL changed: %q", fp)
@@ -99,8 +99,8 @@ func TestRingURLChangeKeepsOwnership(t *testing.T) {
 // shapes owned by survivors stay put, which is what makes warm handoff a
 // transfer of one node's entries rather than a full reshuffle.
 func TestRingMembershipChangeMovesMinimally(t *testing.T) {
-	full := NewRing(threeNodes(), 0)
-	reduced := NewRing(threeNodes()[:2], 0)
+	full := NewRing(threeNodes())
+	reduced := NewRing(threeNodes()[:2])
 	moved := 0
 	for _, fp := range fingerprints(3000) {
 		was, is := full.Owner(fp), reduced.Owner(fp)
@@ -121,11 +121,11 @@ func TestRingMembershipChangeMovesMinimally(t *testing.T) {
 
 // TestRingEmptyAndLookup covers the degenerate ring and member lookup.
 func TestRingEmptyAndLookup(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if o := empty.Owner([]byte("x")); o.ID != "" {
 		t.Fatalf("empty ring owner = %+v, want zero", o)
 	}
-	r := NewRing(threeNodes(), 0)
+	r := NewRing(threeNodes())
 	if n, ok := r.Lookup("n2"); !ok || n.URL != "http://127.0.0.1:7071" {
 		t.Fatalf("Lookup(n2) = %+v, %v", n, ok)
 	}

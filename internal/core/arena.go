@@ -13,10 +13,10 @@ const DefaultArenaBytes = 256 << 20 // 256 MiB
 
 // Arena pools DP tables per size class so repeated optimizations — a serving
 // engine, the measurement harness, the ladder's rungs — reuse the 2^n-element
-// columns instead of re-allocating them per query. It replaces the ad-hoc
-// "hold one Table and call OptimizeWith" reuse pattern with one that is safe
-// under concurrency and explicit about memory: pooled (idle) bytes are capped,
-// and a Put that would exceed the cap drops the table for the GC instead.
+// columns instead of re-allocating them per query. It is Optimize's only
+// table-reuse path (Options.Arena), safe under concurrency and explicit about
+// memory: pooled (idle) bytes are capped, and a Put that would exceed the cap
+// drops the table for the GC instead.
 //
 // A table Get returns is owned exclusively by the caller until Put; the
 // arena's lock is held only around free-list operations, never around fills.

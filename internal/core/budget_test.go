@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"blitzsplit/internal/cost"
+	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/joingraph"
 )
 
@@ -189,28 +190,44 @@ func TestNoGoroutineLeakAfterCancellation(t *testing.T) {
 }
 
 // TestTableReusableAfterBudgetStop: a Table abandoned mid-fill by a budget
-// stop must be safely resettable — the next OptimizeWith on it has to be
-// bit-identical to a fresh-table run.
+// stop goes back to the arena and must be safely resettable — the next run,
+// which reuses that very table, has to be bit-identical to a fresh-table run.
 func TestTableReusableAfterBudgetStop(t *testing.T) {
-	small, err := Optimize(budgetChainQuery(6), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := small.Table
-	if tbl == nil {
-		t.Fatal("seed run did not retain its table")
-	}
-
+	defer faultinject.Reset()
 	q := budgetChainQuery(14)
+	arena := NewArena(0)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := OptimizeWith(tbl, q, Options{Ctx: ctx}); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	defer cancel()
+	// Cancel at the eighth of the fill's sixteen checkpoint strides, so half
+	// the cost slots hold this run's values when it stops. Yielding at each
+	// later stride lets the budget watcher observe the cancellation before
+	// the fill can finish.
+	strides := 0
+	faultinject.Set(faultinject.CoreFillLayer, func() {
+		if strides++; strides == 8 {
+			cancel()
+		}
+		if strides >= 8 {
+			runtime.Gosched()
+		}
+	})
+	_, err := Optimize(q, Options{Ctx: ctx, Arena: arena})
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Phase != PhaseFill {
+		t.Fatalf("err = %v, want a *BudgetError in the fill phase", err)
+	}
+	faultinject.Reset()
+	if st := arena.Stats(); st.Live != 0 || st.PooledTables != 1 {
+		t.Fatalf("after the budget stop: %+v, want the table back in the pool", st)
 	}
 
-	reused, err := OptimizeWith(tbl, q, Options{})
+	reused, err := Optimize(q, Options{Arena: arena})
 	if err != nil {
 		t.Fatalf("reuse after budget stop: %v", err)
+	}
+	defer arena.Put(reused.Table)
+	if got := arena.Stats().Reuses; got != 1 {
+		t.Fatalf("arena reuses = %d, want 1: the second run did not reuse the stopped table", got)
 	}
 	fresh, err := Optimize(q, Options{})
 	if err != nil {

@@ -303,19 +303,19 @@ func TestCCPThresholdPasses(t *testing.T) {
 }
 
 // TestCCPTableReuse reoptimizes different graphs at the same n through one
-// shared table, catching stale connectivity state: the chain's csg list must
+// pooled table, catching stale connectivity state: the chain's csg list must
 // not leak into the star's fill or vice versa.
 func TestCCPTableReuse(t *testing.T) {
 	chainQ, _ := ccpQuery(joingraph.AppendixChainEdges, 9)
 	starQ, _ := ccpQuery(func(n int) []joingraph.Pair { return joingraph.StarEdges(n, 0) }, 9)
-	tbl := NewTable(9, true, nil)
+	arena := NewArena(0)
 	for round := 0; round < 2; round++ {
 		for _, q := range []Query{chainQ, starQ} {
 			fresh, err := Optimize(q, Options{Enumerator: EnumeratorCCP, DiscardTable: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared, err := OptimizeWith(tbl, q, Options{Enumerator: EnumeratorCCP, DiscardTable: true})
+			shared, err := Optimize(q, Options{Enumerator: EnumeratorCCP, DiscardTable: true, Arena: arena})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,6 +323,9 @@ func TestCCPTableReuse(t *testing.T) {
 				t.Errorf("round %d: shared-table result differs from fresh table", round)
 			}
 		}
+	}
+	if got := arena.Stats().Reuses; got != 3 {
+		t.Fatalf("arena reuses = %d, want 3: the runs did not share one table", got)
 	}
 }
 

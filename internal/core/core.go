@@ -153,14 +153,13 @@ type Options struct {
 	// Optimize return ErrEnumeratorUnsupported. See the Enumerator constants
 	// for the search-space caveat Auto accepts.
 	Enumerator Enumerator
-	// Arena, when non-nil, supplies and reclaims the DP table: Optimize
-	// checks a pooled table out instead of allocating, and returns it on
-	// every path that does not hand the table to the caller — validation and
-	// budget failures, ErrNoPlan, and successes under DiscardTable. Combine
-	// with DiscardTable for fully pooled operation (the facade Engine does);
-	// without DiscardTable the checked-out table rides in Result.Table and
-	// the caller is responsible for Arena.Put. Ignored when the caller passes
-	// its own table to OptimizeWith.
+	// Arena supplies and reclaims the DP table: Optimize checks a pooled
+	// table out instead of allocating, and returns it on every path that
+	// does not hand the table to the caller — budget failures, ErrNoPlan,
+	// and successes under DiscardTable. Combine with DiscardTable for fully
+	// pooled operation (the facade Engine does); without DiscardTable the
+	// checked-out table rides in Result.Table and the caller is responsible
+	// for Arena.Put. nil allocates a fresh table per run.
 	Arena *Arena
 }
 
@@ -259,9 +258,9 @@ type Result struct {
 	// final (successful) pass. Retention is not free: the table's four
 	// 2^n-element columns live as long as the Result does (up to hundreds
 	// of MB for n ≥ 24) — set Options.DiscardTable to get nil here and let
-	// the table be collected (or reused, with OptimizeWith). When a table
-	// is shared across queries via OptimizeWith, this field aliases it: a
-	// later optimization overwrites the contents in place.
+	// the table be collected, or pooled in Options.Arena. A retained table
+	// drawn from an arena is the caller's to Put back; once it is, a later
+	// run overwrites its contents in place.
 	Table *Table
 }
 
@@ -269,19 +268,9 @@ type Result struct {
 // on the final unthresholded pass.
 var ErrNoPlan = errors.New("core: no plan within the overflow cost limit")
 
-// Optimize runs Algorithm blitzsplit on the query.
+// Optimize runs Algorithm blitzsplit on the query, drawing its DP table
+// from opts.Arena.
 func Optimize(q Query, opts Options) (*Result, error) {
-	return OptimizeWith(nil, q, opts)
-}
-
-// OptimizeWith runs Algorithm blitzsplit reusing the given table's backing
-// storage (Reset to the query's shape first); t == nil allocates a fresh
-// table. Callers optimizing many queries back to back — the harness, the
-// benchmarks — pass one table to avoid re-making four 2^n-element slices
-// per query. The caller must not read the table concurrently with a later
-// OptimizeWith on it; combine with Options.DiscardTable so Results don't
-// alias it.
-func OptimizeWith(t *Table, q Query, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -313,29 +302,13 @@ func OptimizeWith(t *Table, q Query, opts Options) (*Result, error) {
 		// for the 2^n table allocation.
 		return nil, bg.exceeded(PhaseProperties)
 	}
-	// Acquire the table: caller-supplied, arena-pooled, or freshly allocated.
-	// Once checked out of an arena the table must be returned on every path
-	// that does not hand it to the caller — the release closure below is
-	// called on each such path so budget aborts and ErrNoPlan never leak a
-	// pooled table.
-	fromArena := false
-	if t == nil {
-		if opts.Arena != nil {
-			t = opts.Arena.Get(n, q.Graph != nil, opts.model())
-			fromArena = true
-		} else {
-			t = NewTable(n, q.Graph != nil, opts.model())
-		}
-	} else {
-		t.Reset(n, q.Graph != nil, opts.model())
-	}
-	release := func() {
-		if fromArena {
-			opts.Arena.Put(t)
-		}
-	}
+	// Once checked out, the table goes back to the arena on every path that
+	// does not hand it to the caller, so budget aborts and ErrNoPlan never
+	// leak a pooled table. Get and Put are nil-safe: a nil arena allocates
+	// and never pools.
+	t := opts.Arena.Get(n, q.Graph != nil, opts.model())
 	if err := t.initProperties(q, opts.workers(), bg); err != nil {
-		release()
+		opts.Arena.Put(t)
 		return nil, err
 	}
 
@@ -354,14 +327,14 @@ func OptimizeWith(t *Table, q Query, opts Options) (*Result, error) {
 		total.Add(c)
 		total.Passes = pass
 		if err != nil {
-			release()
+			opts.Arena.Put(t)
 			return nil, err
 		}
 		if t.Cost(t.full) < math.Inf(1) {
 			break
 		}
 		if threshold >= limit {
-			release()
+			opts.Arena.Put(t)
 			return nil, ErrNoPlan
 		}
 		threshold *= opts.thresholdGrowth()
@@ -380,7 +353,7 @@ func OptimizeWith(t *Table, q Query, opts Options) (*Result, error) {
 	if !opts.DiscardTable {
 		res.Table = t
 	} else {
-		release()
+		opts.Arena.Put(t)
 	}
 	return res, nil
 }

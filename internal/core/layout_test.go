@@ -26,23 +26,22 @@ func TestSlotLayout(t *testing.T) {
 	}
 }
 
-// TestTableResetReuseAllocs asserts the arena's core promise: once a table
-// has grown to a query shape, re-optimizing at the same (or smaller) shape
-// performs zero steady-state allocations — Reset reuses every backing column
-// and the fill writes in place.
+// TestTableResetReuseAllocs asserts the arena's core promise: once a pooled
+// table has grown to a query shape, re-optimizing at the same (or smaller)
+// shape performs zero steady-state table allocations — Reset reuses every
+// backing column and the fill writes in place.
 func TestTableResetReuseAllocs(t *testing.T) {
 	const n = 10
 	c := workload.RandomCase(rand.New(rand.NewSource(7)), n, 2, 1e4)
 	cq := core.Query{Cards: c.Cards, Graph: c.Graph}
-	tbl := core.NewTable(n, true, cost.SortMerge{})
-	opts := core.Options{Model: cost.SortMerge{}}
+	opts := core.Options{Model: cost.SortMerge{}, Arena: core.NewArena(0), DiscardTable: true}
 
 	run := func() {
-		if _, err := core.OptimizeWith(tbl, cq, opts); err != nil {
+		if _, err := core.Optimize(cq, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm: grow the columns once
+	run() // warm: pool a table grown to this shape
 	// The run allocates only the extracted plan nodes (n leaves + n−1 joins,
 	// which escape to the caller by design) and the core.Result; the DP
 	// columns themselves must be reused. Allow a small fixed slack over the
@@ -50,6 +49,6 @@ func TestTableResetReuseAllocs(t *testing.T) {
 	// per-column allocation (those would add O(2^n) or O(1) large makes).
 	const maxAllocs = 2*n + 4
 	if got := testing.AllocsPerRun(20, run); got > maxAllocs {
-		t.Fatalf("OptimizeWith on a warm table: %.0f allocs/op, want ≤ %d", got, maxAllocs)
+		t.Fatalf("Optimize on a pooled table: %.0f allocs/op, want ≤ %d", got, maxAllocs)
 	}
 }

@@ -1,9 +1,9 @@
 package core_test
 
 // Benchmarks for the rank-layer parallel fill (satellite of the parallelism
-// PR). Each sub-benchmark reuses one Table across iterations via OptimizeWith
-// + Reset, so steady-state iterations measure the fill itself, not the four
-// 2^n-slice allocations. Run:
+// PR). Each sub-benchmark reuses one pooled Table across iterations through a
+// core.Arena, so steady-state iterations measure the fill itself, not the
+// four 2^n-slice allocations. Run:
 //
 //	go test -bench=ParallelFill -benchtime=1x ./internal/core/
 //
@@ -36,13 +36,14 @@ func BenchmarkParallelFill(b *testing.B) {
 	for _, c := range benchParallelCases() {
 		q := core.Query{Cards: c.Cards, Graph: c.Graph}
 		for _, workers := range []int{1, 2, 4, 8} {
-			opts := core.Options{Model: c.Model, Parallelism: workers, DiscardTable: true}
 			b.Run(fmt.Sprintf("%s/workers=%d", c.Name, workers), func(b *testing.B) {
-				tbl := core.NewTable(c.N, c.Graph != nil, c.Model)
+				arena := core.NewArena(0)
+				arena.Put(arena.Get(c.N, c.Graph != nil, c.Model))
+				opts := core.Options{Model: c.Model, Parallelism: workers, DiscardTable: true, Arena: arena}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.OptimizeWith(tbl, q, opts); err != nil {
+					if _, err := core.Optimize(q, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

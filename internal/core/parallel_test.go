@@ -154,9 +154,9 @@ func TestParallelFillRace(t *testing.T) {
 	cards := joingraph.CardinalityLadder(n, 464, 0.5)
 	g := joingraph.Build(joingraph.TopoClique.Edges(n), cards)
 	q := Query{Cards: cards, Graph: g}
-	tbl := NewTable(n, true, cost.NewDiskNestedLoops())
+	arena := NewArena(0)
 	for i := 0; i < 3; i++ { // reuse across repeats, like the harness does
-		res, err := OptimizeWith(tbl, q, Options{Model: cost.NewDiskNestedLoops(), Parallelism: 8, DiscardTable: true})
+		res, err := Optimize(q, Options{Model: cost.NewDiskNestedLoops(), Parallelism: 8, DiscardTable: true, Arena: arena})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +169,11 @@ func TestParallelFillRace(t *testing.T) {
 	}
 }
 
-// TestTableReuseMatchesFresh drives one table through a sequence of queries
-// of different sizes, graph shapes and models via OptimizeWith, checking
-// each result against a fresh-table Optimize.
+// TestTableReuseMatchesFresh drives one arena through a sequence of queries
+// of different sizes, graph shapes and models, checking each result against
+// a fresh-table Optimize.
 func TestTableReuseMatchesFresh(t *testing.T) {
-	tbl := NewTable(4, false, nil)
+	arena := NewArena(0)
 	type step struct {
 		name string
 		q    Query
@@ -197,7 +197,9 @@ func TestTableReuseMatchesFresh(t *testing.T) {
 	}
 	for _, st := range steps {
 		fresh, ferr := Optimize(st.q, st.opts)
-		reused, rerr := OptimizeWith(tbl, st.q, st.opts)
+		ropts := st.opts
+		ropts.Arena, ropts.DiscardTable = arena, true
+		reused, rerr := Optimize(st.q, ropts)
 		if (ferr == nil) != (rerr == nil) {
 			t.Fatalf("%s: error mismatch: fresh %v, reused %v", st.name, ferr, rerr)
 		}
@@ -208,6 +210,11 @@ func TestTableReuseMatchesFresh(t *testing.T) {
 			!reflect.DeepEqual(reused.Counters, fresh.Counters) {
 			t.Errorf("%s: reused-table result differs from fresh", st.name)
 		}
+	}
+	// Every step after the first fits the first step's 11-relation table,
+	// except grow-again, which needs a larger one.
+	if got := arena.Stats().Reuses; got != 3 {
+		t.Fatalf("arena reuses = %d, want 3", got)
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 	"blitzsplit/internal/workload"
 )
 
-// TestTableReuseAcrossSizesAndModels drives one Table through a sequence of
-// queries with changing relation counts — growing, shrinking, and growing
-// back — and changing cost models (memoized and not, graph and pure
-// product). After every OptimizeWith, the result must be indistinguishable
-// from a fresh-table run: bitwise-equal cost, cardinality, plan, and
-// counters. A Reset that leaks any stale column — costs, cards, fans, memo
-// values, or best-split indexes — from a previous, larger query shows up as
-// a divergence here, because the fresh table never saw that query.
+// TestTableReuseAcrossSizesAndModels drives one pooled Table through a
+// sequence of queries with changing relation counts — shrinking and growing
+// back within the first query's size — and changing cost models (memoized
+// and not, graph and pure product). After every run, the result must be
+// indistinguishable from a fresh-table run: bitwise-equal cost, cardinality,
+// plan, and counters. A Reset that leaks any stale column — costs, cards,
+// fans, memo values, or best-split indexes — from a previous, larger query
+// shows up as a divergence here, because the fresh table never saw that
+// query.
 func TestTableReuseAcrossSizesAndModels(t *testing.T) {
 	steps := []struct {
 		n     int
@@ -36,26 +37,24 @@ func TestTableReuseAcrossSizesAndModels(t *testing.T) {
 		{3, cost.Naive{}, core.Options{}},
 	}
 	rng := rand.New(rand.NewSource(23))
-	var reusedTable *core.Table
+	arena := core.NewArena(0)
 	for i, step := range steps {
 		c := workload.RandomCase(rng, step.n, 1, 1e3)
 		q := core.Query{Cards: c.Cards, Graph: c.Graph}
 		opts := step.opts
 		opts.Model = step.model
 
-		reused, reusedErr := core.OptimizeWith(reusedTable, q, opts)
-		if reusedErr == nil {
-			if reused.Table == nil {
-				t.Fatalf("step %d: OptimizeWith discarded the table", i)
-			}
-			reusedTable = reused.Table
-		}
-
+		ropts := opts
+		ropts.Arena, ropts.DiscardTable = arena, true
+		reused, reusedErr := core.Optimize(q, ropts)
 		fresh, freshErr := core.Optimize(q, opts)
 		if err := check.EquivalentResults(reused, reusedErr, fresh, freshErr, true); err != nil {
 			t.Fatalf("step %d (n=%d, model=%s): reused table diverges from fresh: %v",
 				i, step.n, step.model.Name(), err)
 		}
+	}
+	if got, want := arena.Stats().Reuses, uint64(len(steps)-1); got != want {
+		t.Fatalf("arena reuses = %d, want %d: the steps did not share one table", got, want)
 	}
 }
 
@@ -66,16 +65,19 @@ func TestTableReuseAcrossSizesAndModels(t *testing.T) {
 // slot.
 func TestTableReuseShrinkDoesNotLeakCosts(t *testing.T) {
 	huge := core.Query{Cards: []float64{1e6, 1e6, 1e6, 1e6, 1e6, 1e6}}
-	res, err := core.OptimizeWith(nil, huge, core.Options{})
+	arena := core.NewArena(0)
+	if _, err := core.Optimize(huge, core.Options{Arena: arena, DiscardTable: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	small := core.Query{Cards: []float64{2, 3, 4}}
+	reused, err := core.Optimize(small, core.Options{Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := res.Table
-
-	small := core.Query{Cards: []float64{2, 3, 4}}
-	reused, err := core.OptimizeWith(tbl, small, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	defer arena.Put(reused.Table)
+	if got := arena.Stats().Reuses; got != 1 {
+		t.Fatalf("arena reuses = %d, want 1: the small run did not reuse the huge run's table", got)
 	}
 	fresh, err := core.Optimize(small, core.Options{})
 	if err != nil {

@@ -9,7 +9,12 @@ import (
 	"blitzsplit/internal/plan"
 )
 
-// Adaptive re-optimization defaults; see AdaptiveOptions.
+// The adaptive trigger rule. RunAdaptive re-optimizes after a join whose
+// observed/estimated cardinality ratio (either direction, +1-smoothed)
+// exceeds DefaultReoptRatio, unless both cardinalities are below
+// DefaultReoptMinRows — tiny intermediates deviate by noise, and replanning
+// them buys nothing — and replans at most DefaultMaxReopts times per
+// execution.
 const (
 	DefaultReoptRatio   = 3.0
 	DefaultMaxReopts    = 3
@@ -48,7 +53,7 @@ type GroupEdge struct {
 type ReoptFunc func(q GroupQuery) (*plan.Node, error)
 
 // ReoptEvent records one adaptive trigger: a join whose observed cardinality
-// deviated from its estimate beyond the configured ratio.
+// deviated from its estimate beyond DefaultReoptRatio.
 type ReoptEvent struct {
 	// Set is the join output whose estimate missed; Estimated and Observed
 	// are the two cardinalities and Deviation = max(r, 1/r) of their
@@ -65,62 +70,22 @@ type ReoptEvent struct {
 	Err       string `json:"err,omitempty"`
 }
 
-// AdaptiveOptions configures RunAdaptive. The zero value never re-optimizes
-// (nil Reoptimize); with a Reoptimize the remaining fields default to
-// DefaultReoptRatio / DefaultMaxReopts / DefaultReoptMinRows.
-type AdaptiveOptions struct {
-	// Ratio is the deviation trigger: re-optimize when the observed/estimated
-	// ratio (either direction, +1-smoothed) exceeds it. 0 means
-	// DefaultReoptRatio.
-	Ratio float64
-	// MaxReopts bounds how many times one execution may replan (0 means
-	// DefaultMaxReopts).
-	MaxReopts int
-	// MinRows suppresses triggers where both cardinalities are below it —
-	// tiny intermediates deviate by noise, and replanning them buys nothing.
-	// 0 means DefaultReoptMinRows.
-	MinRows int64
-	// Reoptimize plans the remaining groups; nil disables adaptivity.
-	Reoptimize ReoptFunc
-}
-
-func (o AdaptiveOptions) ratio() float64 {
-	if o.Ratio <= 0 {
-		return DefaultReoptRatio
-	}
-	return o.Ratio
-}
-
-func (o AdaptiveOptions) maxReopts() int {
-	if o.MaxReopts <= 0 {
-		return DefaultMaxReopts
-	}
-	return o.MaxReopts
-}
-
-func (o AdaptiveOptions) minRows() int64 {
-	if o.MinRows <= 0 {
-		return DefaultReoptMinRows
-	}
-	return o.MinRows
-}
-
 // RunAdaptive executes the plan bottom-up, materializing one join at a time,
 // and after each join compares the observed cardinality against the node's
-// estimate. When the deviation exceeds aopts.Ratio (and a re-optimizer is
-// configured), the unexecuted remainder — materialized subtrees plus pending
-// base relations, as a GroupQuery — is re-planned and the winning skeleton
-// spliced over the current tree; execution continues on the new plan.
+// estimate. When the trigger rule above fires (and reopt is non-nil), the
+// unexecuted remainder — materialized subtrees plus pending base relations,
+// as a GroupQuery — is re-planned by reopt and the winning skeleton spliced
+// over the current tree; execution continues on the new plan.
 // Re-optimization is best-effort: its errors are recorded in the returned
-// events, never fatal. With a nil aopts.Reoptimize this is Run with a
+// events, never fatal. With a nil reopt this never replans: it is Run with a
 // different schedule and identical results.
-func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, aopts AdaptiveOptions) (*Result, error) {
+func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, reopt ReoptFunc) (*Result, error) {
 	x, err := newExecutor(inst, p, opts)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	d := &driver{x: x, aopts: aopts, avail: make(map[bitset.Set]*table)}
+	d := &driver{x: x, reopt: reopt, avail: make(map[bitset.Set]*table)}
 	cur := p
 	reopts := 0
 	for d.avail[cur.Set] == nil {
@@ -163,7 +128,7 @@ func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, aopts Adapti
 // relation set, and the event log.
 type driver struct {
 	x      *executor
-	aopts  AdaptiveOptions
+	reopt  ReoptFunc
 	avail  map[bitset.Set]*table
 	events []ReoptEvent
 }
@@ -202,7 +167,7 @@ func nextJoin(n *plan.Node, avail map[bitset.Set]*table) *plan.Node {
 // fires, re-plans the remaining groups and splices. It returns the new tree
 // and true only when a replan actually landed.
 func (d *driver) maybeReopt(cur, j *plan.Node, out *table, reopts int) (*plan.Node, bool) {
-	if d.aopts.Reoptimize == nil || reopts >= d.aopts.maxReopts() {
+	if d.reopt == nil || reopts >= DefaultMaxReopts {
 		return nil, false
 	}
 	obs := int64(out.rows)
@@ -211,10 +176,10 @@ func (d *driver) maybeReopt(cur, j *plan.Node, out *table, reopts int) (*plan.No
 	if dev < 1 {
 		dev = 1 / dev
 	}
-	if dev <= d.aopts.ratio() {
+	if dev <= DefaultReoptRatio {
 		return nil, false
 	}
-	if obs < d.aopts.minRows() && est < float64(d.aopts.minRows()) {
+	if obs < DefaultReoptMinRows && est < DefaultReoptMinRows {
 		return nil, false
 	}
 	ev := ReoptEvent{Set: j.Set, Estimated: est, Observed: obs, Deviation: dev}
@@ -227,7 +192,7 @@ func (d *driver) maybeReopt(cur, j *plan.Node, out *table, reopts int) (*plan.No
 		return nil, false
 	}
 	gq := d.groupQuery(groups)
-	skeleton, err := d.aopts.Reoptimize(gq)
+	skeleton, err := d.reopt(gq)
 	if err == nil && skeleton == nil {
 		err = fmt.Errorf("exec: re-optimizer returned a nil skeleton")
 	}

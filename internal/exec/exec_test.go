@@ -262,7 +262,7 @@ func TestAdaptiveStaticEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunAdaptive(inst, p, Options{}, AdaptiveOptions{})
+		got, err := RunAdaptive(inst, p, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestAdaptiveReopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	adaptive, err := RunAdaptive(inst, p, Options{}, AdaptiveOptions{Reoptimize: greedyReopt(t, &calls)})
+	adaptive, err := RunAdaptive(inst, p, Options{}, greedyReopt(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestAdaptiveReoptErrorNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := func(GroupQuery) (*plan.Node, error) { return nil, errors.New("reopt backend down") }
-	res, err := RunAdaptive(inst, p, Options{}, AdaptiveOptions{Reoptimize: boom})
+	res, err := RunAdaptive(inst, p, Options{}, boom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestLiveColumns(t *testing.T) {
 	var res *Result
 	checkLiveColumns(t, truth, p.Set, func() {
 		var err error
-		res, err = RunAdaptive(inst, p, Options{}, AdaptiveOptions{Reoptimize: greedyReopt(t, &calls)})
+		res, err = RunAdaptive(inst, p, Options{}, greedyReopt(t, &calls))
 		if err != nil {
 			t.Fatal(err)
 		}

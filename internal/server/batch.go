@@ -51,7 +51,7 @@ type batchItem struct {
 // concurrently → reassemble in request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, _ time.Time) {
 	var batch BatchRequest
-	if code, err := s.readJSON(r, &batch); err != nil {
+	if code, err := readJSON(r, &batch); err != nil {
 		s.fail(w, code, "%v", err)
 		return
 	}

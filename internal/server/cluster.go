@@ -57,9 +57,7 @@ type clusterState struct {
 
 func newClusterState(s *Server, cfg Config) *clusterState {
 	cs := &clusterState{
-		// 0 selects the ring's default of cluster.DefaultVirtualNodes points
-		// per node.
-		ring:        cluster.NewRing(cfg.Peers, 0),
+		ring:        cluster.NewRing(cfg.Peers),
 		forwarded:   make(map[string]*atomic.Uint64),
 		forwardErrs: make(map[string]*atomic.Uint64),
 	}

@@ -142,7 +142,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, start tim
 // (join algorithm name, max_rows sign).
 func (s *Server) decodeExecute(r *http.Request) (*ExecuteRequest, int, error) {
 	var req ExecuteRequest
-	if code, err := s.readJSON(r, &req); err != nil {
+	if code, err := readJSON(r, &req); err != nil {
 		return nil, code, err
 	}
 	if code, err := s.validateRequest(&req.OptimizeRequest); err != nil {

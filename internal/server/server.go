@@ -60,13 +60,14 @@ import (
 // options, are guaranteed the same plan.
 const HeaderFingerprint = "X-Blitz-Fingerprint"
 
-// Defaults applied by New for zero-valued Config fields.
+// Defaults applied by New for zero-valued Config fields, and the request-body
+// bound every POST endpoint enforces.
 const (
 	DefaultMaxInFlight    = 0 // sentinel: 2 × GOMAXPROCS
 	DefaultAdmissionWait  = 100 * time.Millisecond
 	DefaultRequestTimeout = 2 * time.Second
 	DefaultMaxTimeout     = 30 * time.Second
-	DefaultMaxBody        = 1 << 20 // 1 MiB of request JSON
+	DefaultMaxBody        = 1 << 20 // 1 MiB of request JSON; larger bodies get 413
 	DefaultMaxSynthRows   = 4 << 20 // ~4M base rows synthesized per /v1/execute
 )
 
@@ -106,8 +107,6 @@ type Config struct {
 	// never pool should not be admitted either. The deadline ladder turns a
 	// refusal into an IDP or greedy plan instead of an error.
 	MemBudget uint64
-	// MaxBody bounds the request body; 0 selects 1 MiB.
-	MaxBody int64
 	// MaxSynthRows bounds the total base-table rows a /v1/execute request may
 	// synthesize (the sum of relation cardinalities); larger requests are
 	// refused with 422 before any work. 0 selects DefaultMaxSynthRows.
@@ -172,9 +171,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MemBudget == 0 {
 		cfg.MemBudget = eng.Stats().Arena.Capacity
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = DefaultMaxBody
 	}
 	if cfg.MaxSynthRows <= 0 {
 		cfg.MaxSynthRows = DefaultMaxSynthRows
@@ -565,7 +561,7 @@ func (s *Server) optimizeLocal(ctx context.Context, c *call, start time.Time) (O
 // malformed or invalid JSON → 400, structurally valid but oversized → 422.
 func (s *Server) decodeRequest(r *http.Request) (*OptimizeRequest, int, error) {
 	var req OptimizeRequest
-	if code, err := s.readJSON(r, &req); err != nil {
+	if code, err := readJSON(r, &req); err != nil {
 		return nil, code, err
 	}
 	if code, err := s.validateRequest(&req); err != nil {
@@ -574,16 +570,16 @@ func (s *Server) decodeRequest(r *http.Request) (*OptimizeRequest, int, error) {
 	return &req, 0, nil
 }
 
-// readJSON reads a body of at most MaxBody bytes (413 beyond) and decodes it
-// into v (400 when it is not valid JSON).
-func (s *Server) readJSON(r *http.Request, v any) (int, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
+// readJSON reads a body of at most DefaultMaxBody bytes (413 beyond) and
+// decodes it into v (400 when it is not valid JSON).
+func readJSON(r *http.Request, v any) (int, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxBody+1))
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	if int64(len(body)) > s.cfg.MaxBody {
+	if len(body) > DefaultMaxBody {
 		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBody)
+			fmt.Errorf("request body exceeds %d bytes", DefaultMaxBody)
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)

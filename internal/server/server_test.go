@@ -229,8 +229,9 @@ func TestDecodeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d, want 405", resp.StatusCode)
 	}
-	_, small := newTestServer(t, Config{MaxBody: 64})
-	code, b := postOptimize(t, small.URL, chainBody(6, 1000))
+	// Valid JSON, padded past the bound with leading whitespace.
+	_, def := newTestServer(t, Config{})
+	code, b := postOptimize(t, def.URL, strings.Repeat(" ", DefaultMaxBody)+chainBody(2, 10))
 	if code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413: %s", code, b)
 	}

@@ -56,12 +56,18 @@ func thresholdAbove(bound float64) float64 {
 // Rungs 1 and 2 draw their 2^n tables from the engine's arena, so a rung cut
 // down mid-run returns its table to the pool instead of leaking it; rung 3
 // allocates only its per-round tables over subsets of at most ladderK units.
+// Without WithMemoryBudget, rung 1 is admitted against the arena's capacity,
+// as blitzd admits every request: a table the arena could never pool is
+// refused before it is allocated, and the ladder answers from IDP instead.
 func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*outcome, error) {
 	ctxErr := func() error {
 		if ctx == nil {
 			return nil
 		}
 		return ctx.Err()
+	}
+	if cfg.opts.MemoryBudget == 0 {
+		cfg.opts.MemoryBudget = e.arena.Stats().Capacity
 	}
 
 	// Rung 1: exhaustive, within half the remaining budget.

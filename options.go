@@ -195,10 +195,14 @@ func WithTimeout(d time.Duration) Option {
 // the 2^n-bit connectivity bitmap and, with WithParallelism, a rank-layer
 // buffer (core.CCPFootprint). Without WithDeadlineLadder
 // the rejection surfaces as a *BudgetError; with it, the ladder skips
-// straight to the bounded-memory rungs (IDP, then greedy). The IDP rung's
-// tables hold one 24-byte entry per subset of at most six relations, at
-// most 17.6 MiB at n = 30; the budget does not count them. A plan-cache hit
-// is exempt: serving a cached plan allocates no table at all.
+// straight to the bounded-memory rungs (IDP, then greedy). A ladder without
+// this option is admitted against the engine arena's capacity
+// (EngineOptions.ArenaBytes, 256 MiB by default): a table larger than the
+// arena answers from IDP or greedy, which under the default naive model on a
+// join graph means n ≥ 24. The IDP rung's tables hold one 24-byte entry per
+// subset of at most six relations, at most 17.6 MiB at n = 30; the budget
+// does not count them. A plan-cache hit is exempt: serving a cached plan
+// allocates no table at all.
 func WithMemoryBudget(budget uint64) Option {
 	return func(c *config) error {
 		if budget == 0 {
@@ -218,10 +222,13 @@ func WithMemoryBudget(budget uint64) Option {
 //
 // With a deadline, each attempted rung gets half the remaining budget so
 // lower rungs always retain time to run; the greedy floor is O(n²) and needs
-// effectively none. Every rung's plan passes Result.Verify. Explicit
-// cancellation (context.Canceled, as opposed to a deadline) aborts the
-// ladder and returns the budget error: a caller that cancelled wants no
-// answer at all.
+// effectively none. Without WithMemoryBudget the exhaustive rungs are
+// admitted against the engine arena's capacity, so a query whose table
+// exceeds the arena (n ≥ 24 under the default naive model on a join graph)
+// answers from IDP or greedy without allocating the table. Every rung's plan
+// passes Result.Verify. Explicit cancellation (context.Canceled, as opposed
+// to a deadline) aborts the ladder and returns the budget error: a caller
+// that cancelled wants no answer at all.
 func WithDeadlineLadder() Option {
 	return func(c *config) error {
 		c.ladder = true

@@ -57,7 +57,7 @@ stress:
 		-run 'Budget|Cancel|Ladder|Leak|Deadline|Clamp|Engine|Cache|Arena|Reuse|Concurrent|Canonicalizer|Enumerator|Snapshot|Quarantine|Panic' \
 		./internal/core/ ./internal/hybrid/ ./internal/plancache/ ./internal/canon/ .
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'FuzzEnumerators|CCP' \
+		-run 'FuzzEnumerators|CCP|Seeded' \
 		./internal/check/ ./internal/core/
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute|Fingerprint|Quantiz|LargeChainBoundedAlloc' \

@@ -115,13 +115,12 @@ type BudgetError = core.BudgetError
 // quality for resources; every rung's output passes Result.Verify.
 const (
 	// ModeExhaustive is the full blitzsplit search: the plan is the global
-	// optimum under the chosen cost model.
+	// optimum under the chosen cost model. Under WithDeadlineLadder the
+	// search runs under a §6.4 plan-cost threshold seeded just above the
+	// greedy plan's cost whenever that plan lies in the searched space: the
+	// optimum costs no more than the greedy plan, so the one pruned pass
+	// still returns it, with far less κ″ work than the unpruned search.
 	ModeExhaustive = "exhaustive"
-	// ModeThreshold is blitzsplit under a §6.4 plan-cost threshold seeded
-	// just above a greedy upper bound: still optimal whenever it completes
-	// (the optimum costs no more than the greedy plan), but the pruned pass
-	// does far less κ″ work than the full search.
-	ModeThreshold = "threshold"
 	// ModeIDP is the §7 hybrid: iterative dynamic programming over bounded
 	// blocks plus randomized polishing. Near-optimal, polynomial time.
 	ModeIDP = "idp"

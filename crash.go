@@ -151,8 +151,7 @@ func (e *Engine) HasPlan(key []byte) bool {
 	if e.cache == nil {
 		return false
 	}
-	_, ok := e.cache.Peek(key)
-	return ok
+	return e.cache.Has(key)
 }
 
 // ExportPlan writes the cache entry stored under key to w as a one-record

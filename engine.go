@@ -243,11 +243,13 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 		return nil, &QuarantineError{Strikes: strikes}
 	}
 	if ent, ok := e.cache.GetBytes(sc.key); ok {
-		// The hit path runs entirely out of scratch: the relabeled plan (one
-		// slab allocation) is the only state that outlives it. The outcome is
-		// a local — finish only reads it, so it never escapes to the heap.
+		// The hit path runs entirely out of scratch: the plan the cache
+		// built for this hit (one slab allocation), relabeled in place, is
+		// the only state that outlives it. The outcome is a local — finish
+		// only reads it, so it never escapes to the heap.
+		canon.RelabelPlanInPlace(ent.Plan, sc.canon.ToOrig())
 		o := outcome{
-			plan:     canon.RelabelPlan(ent.Plan, sc.canon.ToOrig()),
+			plan:     ent.Plan,
 			cost:     ent.Cost,
 			card:     ent.Cardinality,
 			counters: ent.Counters,
@@ -274,6 +276,7 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 	if o.mode == ModeExhaustive {
 		// Only the true optimum is worth serving to every isomorphic query;
 		// degraded ladder plans reflect one call's budget, not the query.
+		// Put copies the plan, so the relabeling below may rewrite it.
 		e.cache.Put(key, plancache.Entry{
 			Plan:        o.plan,
 			Cost:        o.cost,
@@ -281,7 +284,7 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 			Counters:    o.counters,
 		})
 	}
-	o.plan = canon.RelabelPlan(o.plan, cn.ToOrig)
+	canon.RelabelPlanInPlace(o.plan, cn.ToOrig)
 	e.reanchor(o, cq, cfg)
 	return cfg.finish(o, names, cq), nil
 }
@@ -429,11 +432,11 @@ func keyFingerprint(key []byte) (fp []byte, ok bool) {
 // Optimize runs Algorithm blitzsplit over the query and returns the optimal
 // bushy plan. With a budget (WithTimeout, WithContext, WithMemoryBudget) the
 // run is governed: it stops cooperatively when the budget runs out, and —
-// under WithDeadlineLadder — degrades through threshold-pruned search,
-// bounded IDP, and a greedy floor instead of failing, recording the rung in
-// Result.Mode. It is Engine.Optimize on the shared Default engine, whose
-// plan cache is disabled; servers wanting cached plans construct their own
-// Engine with New.
+// under WithDeadlineLadder — degrades through bounded IDP and a greedy floor
+// instead of failing, recording the rung in Result.Mode. It is
+// Engine.Optimize on the shared Default engine, whose plan cache is
+// disabled; servers wanting cached plans construct their own Engine with
+// New.
 func (q *Query) Optimize(options ...Option) (*Result, error) {
 	return Default().Optimize(nil, q, options...)
 }

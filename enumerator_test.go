@@ -167,8 +167,8 @@ func TestEngineAutoEnumeratorHitAllocs(t *testing.T) {
 }
 
 // The ladder's budget decisions are enumerator-independent: a memory budget
-// the 2^n table cannot fit skips the exhaustive and threshold rungs and lands
-// on IDP after the same two rung attempts whether blitz, CCP, or Auto is
+// the 2^n table cannot fit refuses the exhaustive rung and lands on IDP
+// after the same two rung attempts whether blitz, CCP, or Auto is
 // selected, and the IDP rung returns a plan of the same cost.
 func TestLadderMemoryDegradationIdenticalAcrossEnumerators(t *testing.T) {
 	type outcome struct {

@@ -10,9 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,8 +56,8 @@ func requireVerified(t *testing.T, res *Result) {
 }
 
 // TestLadderMemoryBudgetFallsToIDP: a memory budget the 2^n table cannot fit
-// skips the exhaustive and threshold rungs (same footprint) and lands on
-// IDP, deterministically — no clocks involved.
+// refuses the exhaustive rung at admission and lands on IDP,
+// deterministically — no clocks involved.
 func TestLadderMemoryBudgetFallsToIDP(t *testing.T) {
 	rungs := countRungs(t)
 	res, err := ladderChain(10).Optimize(WithMemoryBudget(1024), WithDeadlineLadder())
@@ -190,8 +190,8 @@ func TestLadderExpiredDeadlineFallsToGreedy(t *testing.T) {
 	if res.Mode != ModeGreedy || !res.Degraded {
 		t.Fatalf("mode = %q degraded = %v, want %q degraded", res.Mode, res.Degraded, ModeGreedy)
 	}
-	// Exhaustive is attempted (and stopped), threshold and IDP are skipped
-	// outright with the deadline gone, greedy closes.
+	// Exhaustive is attempted (and stopped), IDP is skipped outright with
+	// the deadline gone, greedy closes.
 	if got := rungs.Load(); got != 2 {
 		t.Fatalf("rungs attempted = %d, want 2", got)
 	}
@@ -201,38 +201,57 @@ func TestLadderExpiredDeadlineFallsToGreedy(t *testing.T) {
 	}
 }
 
-// TestLadderThresholdRung: a fault-injected stall burns the exhaustive
-// rung's time slice; the threshold rung (seeded just above the greedy bound)
-// then completes and must return the true optimum — ModeThreshold keeps the
-// optimality guarantee whenever it finishes.
-func TestLadderThresholdRung(t *testing.T) {
-	q := ladderChain(12)
+// TestLadderSeededRung: the ladder's exhaustive rung runs under the greedy
+// plan's §6.4 threshold whenever that plan lies in the searched space. Its
+// answer is the unladdered optimum, bit for bit, found in one pruned pass;
+// under CCP, a star whose greedy plan uses a Cartesian product lies outside
+// the product-free space and runs unseeded.
+func TestLadderSeededRung(t *testing.T) {
 	ref, err := ladderChain(12).Optimize()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	t.Cleanup(faultinject.Reset)
-	var once sync.Once
-	faultinject.Set(faultinject.CoreFillLayer, func() {
-		once.Do(func() {
-			// Out-sleep rung 1's slice (half of 2 s), then get out of the
-			// way so rung 2's fill runs clean.
-			faultinject.Set(faultinject.CoreFillLayer, nil)
-			time.Sleep(1500 * time.Millisecond)
-		})
-	})
-	res, err := q.Optimize(WithTimeout(2*time.Second), WithDeadlineLadder())
+	res, err := ladderChain(12).Optimize(WithTimeout(time.Minute), WithDeadlineLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeThreshold || !res.Degraded {
-		t.Fatalf("mode = %q degraded = %v, want %q degraded", res.Mode, res.Degraded, ModeThreshold)
+	if res.Mode != ModeExhaustive || res.Degraded {
+		t.Fatalf("mode = %q degraded = %v, want clean exhaustive", res.Mode, res.Degraded)
 	}
-	if res.Cost != ref.Cost {
-		t.Fatalf("threshold rung cost %v, exhaustive optimum %v", res.Cost, ref.Cost)
+	if math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) || !res.Plan.Equal(ref.Plan) {
+		t.Fatalf("seeded ladder answered cost %v plan %v, unladdered %v plan %v",
+			res.Cost, res.Plan, ref.Cost, ref.Plan)
+	}
+	if res.Counters.Passes != 1 || res.Counters.ThresholdSkips == 0 {
+		t.Fatalf("counters %+v, want one pass with threshold skips", res.Counters)
+	}
+	if res.Counters.LoopIters >= ref.Counters.LoopIters {
+		t.Fatalf("seeded pass ran %d split loops, unseeded %d", res.Counters.LoopIters, ref.Counters.LoopIters)
 	}
 	requireVerified(t, res)
+
+	// Tiny satellites around a huge hub: greedy multiplies two satellites
+	// before touching the hub, a product CCP never considers.
+	star := NewQuery()
+	star.MustAddRelation("hub", 1e6)
+	for i := 1; i < 8; i++ {
+		star.MustAddRelation(fmt.Sprintf("S%d", i), float64(10+i))
+		star.MustJoin("hub", fmt.Sprintf("S%d", i), 1e-4)
+	}
+	ref, err = star.Optimize(WithEnumerator(EnumeratorCCP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = star.Optimize(WithEnumerator(EnumeratorCCP), WithTimeout(time.Minute), WithDeadlineLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeExhaustive || math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) {
+		t.Fatalf("ccp star: mode %q cost %v, want exhaustive cost %v", res.Mode, res.Cost, ref.Cost)
+	}
+	if res.Counters.ThresholdSkips != 0 || res.Counters.Passes != 1 {
+		t.Fatalf("ccp star counters %+v, want an unseeded single pass", res.Counters)
+	}
 }
 
 // TestLadderExplicitCancelAborts: cancellation — unlike a deadline — means

@@ -66,3 +66,32 @@ func GreedyLeftDeep(cards []float64, g *joingraph.Graph, m cost.Model) (*Result,
 	}
 	return &Result{Plan: tree, Cost: tree.Cost, Considered: considered}, nil
 }
+
+// Seed is the §6.4 seed of an exact search: the greedy left-deep plan and
+// the plan-cost threshold it justifies. The greedy plan's cost bounds the
+// optimum from above whenever that plan lies in the searched space, and
+// every cost model adds non-negative terms, so a threshold just above it
+// keeps every subplan of the optimum while the pruning skips the rest: one
+// pass finds the exact optimum. productFree says the search covers only
+// plans without Cartesian products (the CCP enumerator); the greedy plan
+// lies in that space only when each relation it adds has a neighbour among
+// those it joins. Outside the space the threshold is 0, meaning none: a
+// product-using greedy plan can undercut the product-free optimum and force
+// retry passes. The greedy plan is returned either way; it is also the
+// ladder's floor.
+func Seed(cards []float64, g *joingraph.Graph, m cost.Model, productFree bool) (*Result, float64, error) {
+	greedy, err := GreedyLeftDeep(cards, g, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	if productFree {
+		for n := greedy.Plan; !n.IsLeaf(); n = n.Left {
+			if g == nil || !g.Neighbors(n.Right.Rel).Overlaps(n.Left.Set) {
+				return greedy, 0, nil
+			}
+		}
+	}
+	// Strictly above the bound, so a plan costing exactly the greedy cost
+	// survives the threshold pass's strict comparisons.
+	return greedy, greedy.Cost*(1+1e-9) + math.SmallestNonzeroFloat64, nil
+}

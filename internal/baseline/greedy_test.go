@@ -82,7 +82,7 @@ func TestGreedyAnnotationsConsistent(t *testing.T) {
 }
 
 // TestGreedyNeverBeatsExhaustive: greedy is an upper bound on the optimum —
-// the invariant the ladder's threshold rung is seeded with.
+// the invariant Seed's threshold rests on.
 func TestGreedyNeverBeatsExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {

@@ -186,18 +186,34 @@ func FoldSelectivities(sels []float64) float64 {
 // by m[i] — both the leaf Rel fields and every node's relation bitset.
 // Cardinalities, costs and algorithm annotations are copied bitwise: a
 // relabeling permutes leaves, it does not change any estimate. The input is
-// never mutated, so cached canonical plans can be relabeled concurrently.
+// never mutated, so a shared plan can be relabeled concurrently.
 //
 // All copied nodes come from a single slab allocation sized by one counting
-// pass: relabeling a served plan costs one allocation instead of one per
-// node. The slab is freshly allocated each call — the plan escapes to the
-// caller as part of a Result, so the buffer cannot be pooled.
+// pass: relabeling a plan costs one allocation instead of one per node. The
+// slab is freshly allocated each call — the plan escapes to the caller as
+// part of a Result, so the buffer cannot be pooled.
 func RelabelPlan(p *plan.Node, m []int) *plan.Node {
 	if p == nil {
 		return nil
 	}
-	r := relabeler{slab: make([]plan.Node, 0, countNodes(p)), m: m}
-	return r.copy(p)
+	slab := make([]plan.Node, 0, countNodes(p))
+	cp := copyInto(&slab, p)
+	RelabelPlanInPlace(cp, m)
+	return cp
+}
+
+// RelabelPlanInPlace is RelabelPlan on a tree the caller owns: it rewrites
+// p's relation indexes through m without copying anything.
+func RelabelPlanInPlace(p *plan.Node, m []int) {
+	var s bitset.Set
+	p.Set.ForEach(func(i int) { s = s.Add(m[i]) })
+	p.Set = s
+	if p.IsLeaf() {
+		p.Rel = m[p.Rel]
+		return
+	}
+	RelabelPlanInPlace(p.Left, m)
+	RelabelPlanInPlace(p.Right, m)
 }
 
 func countNodes(p *plan.Node) int {
@@ -207,23 +223,15 @@ func countNodes(p *plan.Node) int {
 	return 1 + countNodes(p.Left) + countNodes(p.Right)
 }
 
-type relabeler struct {
-	slab []plan.Node
-	m    []int
-}
-
-func (r *relabeler) copy(p *plan.Node) *plan.Node {
-	r.slab = append(r.slab, *p) // within the counted capacity: never reallocates
-	cp := &r.slab[len(r.slab)-1]
-	var s bitset.Set
-	p.Set.ForEach(func(i int) { s = s.Add(r.m[i]) })
-	cp.Set = s
-	if p.IsLeaf() {
-		cp.Rel = r.m[p.Rel]
-		return cp
+// copyInto appends a copy of the tree p to the slab, whose capacity must
+// hold every node so the copies never move.
+func copyInto(slab *[]plan.Node, p *plan.Node) *plan.Node {
+	*slab = append(*slab, *p)
+	cp := &(*slab)[len(*slab)-1]
+	if !p.IsLeaf() {
+		cp.Left = copyInto(slab, p.Left)
+		cp.Right = copyInto(slab, p.Right)
 	}
-	cp.Left = r.copy(p.Left)
-	cp.Right = r.copy(p.Right)
 	return cp
 }
 

@@ -13,7 +13,7 @@
 //     (BruteForce, RecursiveMemo, Selinger-with-products for left-deep) and
 //     bound relations against the no-Cartesian-product baselines
 //     (OracleAgreement, NoProductBounds), and run-vs-run identities
-//     (SerialParallelIdentical, ThresholdIdentical);
+//     (SerialParallelIdentical, ThresholdIdentical, SeededIdentical);
 //  4. metamorphic transforms — cost-model-independent input transformations
 //     with known effect on the optimum (PermutationInvariant,
 //     SelectivityOneNeutral, ScalingMonotone);

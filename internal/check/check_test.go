@@ -324,6 +324,38 @@ func TestThresholdIdentical(t *testing.T) {
 	}
 }
 
+// TestSeededIdentical: the greedy seed never changes the answer and, where
+// it applies, never needs a second pass — over random queries under both
+// exact enumerators. A mutant whose seeded fill reports a retry is caught.
+func TestSeededIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var c check.Checker
+	for i := 0; i < 100; i++ {
+		q := testutil.RandomQuery(rng, 9)
+		opts := core.Options{Model: testutil.RandomModel(rng)}
+		if err := c.SeededIdentical(q, opts); err != nil {
+			t.Fatalf("query %d (n=%d): %v", i, len(q.Cards), err)
+		}
+		if q.Graph != nil && q.Graph.Connected(bitset.Full(len(q.Cards))) {
+			opts.Enumerator = core.EnumeratorCCP
+			if err := c.SeededIdentical(q, opts); err != nil {
+				t.Fatalf("query %d (n=%d) under ccp: %v", i, len(q.Cards), err)
+			}
+		}
+	}
+
+	calls := 0
+	c.Optimizer = tampering(&calls, func(_ core.Query, opts core.Options, res *core.Result) {
+		if opts.CostThreshold > 0 {
+			res.Counters.Passes = 2
+		}
+	})
+	wantErr(t, c.SeededIdentical(chainQuery(), core.Options{}), "passes, want 1")
+	if calls != 2 {
+		t.Fatalf("mutant optimizer ran %d times, want 2", calls)
+	}
+}
+
 func TestPermutationInvariant(t *testing.T) {
 	q := chainQuery()
 	var c check.Checker

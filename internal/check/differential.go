@@ -176,3 +176,37 @@ func (c Checker) ThresholdIdentical(q core.Query, opts core.Options, threshold f
 	}
 	return nil
 }
+
+// SeededIdentical is the exactness oracle for the greedy seed the
+// degradation ladder starts its exhaustive rung under (baseline.Seed). It
+// re-runs q unthresholded and under the seed's threshold and requires
+// bit-identical plans, costs and cardinalities. Whenever the rule seeds, the
+// seeded run must also finish in one pass: the greedy plan lies in the
+// searched space, so its cost never undercuts the optimum and the §6.4 retry
+// never fires. Estimator queries, which the ladder refuses, and options the
+// search itself rejects for q pass vacuously.
+func (c Checker) SeededIdentical(q core.Query, opts core.Options) error {
+	if q.Estimator != nil {
+		return nil
+	}
+	enum, err := opts.EnumeratorFor(q)
+	if err != nil {
+		return nil
+	}
+	greedy, threshold, err := baseline.Seed(q.Cards, q.Graph, modelOrNaive(opts), enum == core.EnumeratorCCP)
+	if err != nil {
+		return fmt.Errorf("check: greedy seed: %w", err)
+	}
+	opts.CostThreshold = 0
+	base, baseErr := c.optimize(q, opts)
+	opts.CostThreshold = threshold
+	seeded, seededErr := c.optimize(q, opts)
+	if err := EquivalentResults(base, baseErr, seeded, seededErr, false); err != nil {
+		return fmt.Errorf("unseeded vs seeded at %v: %w", threshold, err)
+	}
+	if threshold > 0 && seededErr == nil && seeded.Counters.Passes != 1 {
+		return fmt.Errorf("check: seeded at threshold %v (greedy cost %v), the %v fill ran %d passes, want 1",
+			threshold, greedy.Cost, enum, seeded.Counters.Passes)
+	}
+	return nil
+}

@@ -16,12 +16,12 @@ import (
 const maxBruteForceFull = 5
 
 // Full runs the entire invariant lattice on one query: oracle agreement,
-// plan well-formedness, cost and counter bookkeeping, the serial/parallel
-// and threshold identities, the no-product bounds, and the metamorphic
-// transforms. aux seeds the derived random choices (permutation, worker
-// count, scale factor) so the whole run is a pure function of its inputs —
-// the contract a fuzz target needs. It is the body of FuzzOptimize and the
-// randomized sweep tests.
+// plan well-formedness, cost and counter bookkeeping, the serial/parallel,
+// threshold and greedy-seed identities, the no-product bounds, and the
+// metamorphic transforms. aux seeds the derived random choices (permutation,
+// worker count, scale factor) so the whole run is a pure function of its
+// inputs — the contract a fuzz target needs. It is the body of FuzzOptimize
+// and the randomized sweep tests.
 func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) error {
 	if err := q.Validate(); err != nil {
 		return fmt.Errorf("check: generator produced an invalid query: %w", err)
@@ -73,6 +73,9 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 	if err := c.ThresholdIdentical(q, opts, threshold); err != nil {
 		return fmt.Errorf("threshold identity: %w", err)
 	}
+	if err := c.SeededIdentical(q, opts); err != nil {
+		return fmt.Errorf("seeded identity: %w", err)
+	}
 
 	if err := c.EnumeratorAgree(q, opts); err != nil {
 		return fmt.Errorf("enumerator agreement: %w", err)
@@ -80,8 +83,8 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 	if q.Estimator == nil && !leftDeep && q.Graph != nil &&
 		q.Graph.Connected(bitset.Full(n)) {
 		// Re-run the identity checks under the CCP enumerator: its layered
-		// parallel fill and threshold passes must be as bit-stable as the
-		// blitz scan's.
+		// parallel fill, threshold passes and greedy seed must be as
+		// bit-stable as the blitz scan's.
 		copts := opts
 		copts.Enumerator = core.EnumeratorCCP
 		if err := c.SerialParallelIdentical(q, copts, 2+int(aux&1)); err != nil {
@@ -89,6 +92,9 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 		}
 		if err := c.ThresholdIdentical(q, copts, threshold); err != nil {
 			return fmt.Errorf("ccp threshold identity: %w", err)
+		}
+		if err := c.SeededIdentical(q, copts); err != nil {
+			return fmt.Errorf("ccp seeded identity: %w", err)
 		}
 	}
 

@@ -96,12 +96,12 @@ func (o Options) ccpEligible(q Query) bool {
 		q.Graph.Connected(bitset.Full(len(q.Cards)))
 }
 
-// resolveEnumerator maps Auto to a concrete strategy and validates an
-// explicit CCP request. The connectivity probe is a bitset BFS —
-// allocation-free, O(n·diameter) — recomputed per call; the serving Engine
-// avoids even that on cache hits by memoizing connectivity in the canonical
-// fingerprint and resolving Auto before the cache lookup.
-func resolveEnumerator(q Query, o Options) (Enumerator, error) {
+// EnumeratorFor maps Auto to the concrete strategy Optimize would run for q
+// and validates an explicit CCP request. The connectivity probe is a bitset
+// BFS — allocation-free, O(n·diameter) — recomputed per call; the serving
+// Engine avoids even that on cache hits by memoizing connectivity in the
+// canonical fingerprint and resolving Auto before the cache lookup.
+func (o Options) EnumeratorFor(q Query) (Enumerator, error) {
 	return o.ResolveEnumerator(o.ccpEligible(q))
 }
 

@@ -276,7 +276,7 @@ func Optimize(q Query, opts Options) (*Result, error) {
 	}
 	// Resolve Auto to a concrete strategy (and validate an explicit CCP
 	// request) up front, so the fill passes below see only Blitz or CCP.
-	enum, err := resolveEnumerator(q, opts)
+	enum, err := opts.EnumeratorFor(q)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package plancache
 import (
 	"sync"
 
+	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/plan"
 )
@@ -19,8 +20,9 @@ const (
 )
 
 // Entry is one cached optimization outcome, in canonical relation numbering.
-// The Plan tree is shared by every cache hit and must be treated as
-// immutable; the engine relabels (deep-copies) it before handing it out.
+// Put copies the plan into the cache's flat storage and keeps no pointer to
+// the caller's tree; Get builds a fresh tree that the caller owns and may
+// rewrite in place. Algorithm names are not stored: cached plans carry none.
 type Entry struct {
 	Plan        *plan.Node
 	Cost        float64
@@ -58,11 +60,76 @@ type Cache struct {
 	mask   uint64
 }
 
+// record is one plan node as the cache stores it. An entry's records list
+// its plan in preorder, which rebuilds the tree without pointers:
+//   - a node over k relations spans 2k−1 records, itself first;
+//   - its left child is the next record, and its right child, whose set is
+//     the node's set minus the left child's, follows the left child's span;
+//   - a leaf is a singleton set, which names its relation.
+//
+// At 24 B a node in one allocation per plan, a 13-relation plan takes 640 B
+// of heap instead of the 1,600 B of 25 separately allocated plan.Nodes.
+type record struct {
+	set  bitset.Set
+	card float64
+	cost float64
+}
+
+// stored is an entry as the cache holds it. Its records are never modified
+// once stored (an overwrite replaces the slice), so a copy taken under the
+// shard lock can be read after the lock is released.
+type stored struct {
+	plan     []record // preorder; nil for an entry without a plan
+	cost     float64
+	card     float64
+	counters core.Counters
+}
+
 type lruNode struct {
-	key        string
-	entry      Entry
+	key string
+	stored
 	bytes      uint64
 	prev, next *lruNode // intrusive LRU list; head side is most recent
+}
+
+// flatten stores e in the cache's form: its scalars and its plan's preorder
+// records, in one allocation.
+func flatten(e Entry) stored {
+	s := stored{cost: e.Cost, card: e.Cardinality, counters: e.Counters}
+	if e.Plan != nil {
+		s.plan = appendRecords(make([]record, 0, countNodes(e.Plan)), e.Plan)
+	}
+	return s
+}
+
+func appendRecords(recs []record, n *plan.Node) []record {
+	recs = append(recs, record{set: n.Set, card: n.Card, cost: n.Cost})
+	if n.IsLeaf() {
+		return recs
+	}
+	return appendRecords(appendRecords(recs, n.Left), n.Right)
+}
+
+// entry rebuilds the stored entry with a fresh plan tree, one slab of nodes
+// that the caller owns.
+func (s stored) entry() Entry {
+	e := Entry{Cost: s.cost, Cardinality: s.card, Counters: s.counters}
+	if len(s.plan) == 0 {
+		return e
+	}
+	slab := make([]plan.Node, len(s.plan))
+	for i, r := range s.plan {
+		n := &slab[i]
+		n.Set, n.Card, n.Cost = r.set, r.card, r.cost
+		if r.set.IsSingleton() {
+			n.Rel = r.set.Min()
+			continue
+		}
+		n.Left = &slab[i+1]
+		n.Right = &slab[i+2*s.plan[i+1].set.Count()]
+	}
+	e.Plan = &slab[0]
+	return e
 }
 
 type shard struct {
@@ -121,19 +188,22 @@ func shardFor[K ~string | ~[]byte](c *Cache, key K) *shard {
 	return &c.shards[h&c.mask]
 }
 
-// Get returns the entry stored under key, marking it most recently used.
+// Get returns the entry stored under key, marking it most recently used. The
+// entry's plan is a fresh tree that the caller owns.
 func (c *Cache) Get(key string) (Entry, bool) {
 	s := shardFor(c, key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n, ok := s.m[key]
 	if !ok {
 		s.misses++
+		s.mu.Unlock()
 		return Entry{}, false
 	}
 	s.hits++
 	s.moveToFront(n)
-	return n.entry, true
+	st := n.stored
+	s.mu.Unlock()
+	return st.entry(), true
 }
 
 // GetBytes is Get for a caller-owned byte-slice key. The map index uses the
@@ -144,42 +214,52 @@ func (c *Cache) Get(key string) (Entry, bool) {
 func (c *Cache) GetBytes(key []byte) (Entry, bool) {
 	s := shardFor(c, key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n, ok := s.m[string(key)]
 	if !ok {
 		s.misses++
+		s.mu.Unlock()
 		return Entry{}, false
 	}
 	s.hits++
 	s.moveToFront(n)
-	return n.entry, true
+	st := n.stored
+	s.mu.Unlock()
+	return st.entry(), true
 }
 
-// Peek returns the entry stored under key without touching recency order or
-// the hit/miss counters — a read with no serving side effects. The cluster
-// layer uses it to answer peer plan-fill probes and to decide routing without
-// skewing the cache statistics that serving traffic is measured by.
-func (c *Cache) Peek(key []byte) (Entry, bool) {
+// peek returns what is stored under key without touching recency order or
+// the hit/miss counters — a read with no serving side effects.
+func (c *Cache) peek(key []byte) (stored, bool) {
 	s := shardFor(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.m[string(key)]
 	if !ok {
-		return Entry{}, false
+		return stored{}, false
 	}
-	return n.entry, true
+	return n.stored, true
+}
+
+// Has reports whether an entry is stored under key, with no serving side
+// effects and no plan built. The cluster layer uses it to decide routing
+// without skewing the cache statistics that serving traffic is measured by.
+func (c *Cache) Has(key []byte) bool {
+	_, ok := c.peek(key)
+	return ok
 }
 
 // Put stores the entry under key, evicting least-recently-used entries as
 // needed to stay inside the shard's byte budget. An entry that alone exceeds
 // the budget is rejected (counted in Stats.Rejects) rather than flushing the
-// whole shard for a single oversized plan.
+// whole shard for a single oversized plan. The plan must be valid
+// (plan.Validate); Put copies it and keeps no pointer to it.
 func (c *Cache) Put(key string, e Entry) { c.put(key, e) }
 
 // put is Put reporting whether the entry was admitted; the snapshot loader
 // uses the signal to classify budget refusals as rejected records.
 func (c *Cache) put(key string, e Entry) bool {
 	size := entryBytes(key, e)
+	st := flatten(e)
 	s := shardFor(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,12 +270,12 @@ func (c *Cache) put(key string, e Entry) bool {
 	}
 	if old, ok := s.m[key]; ok {
 		s.bytes -= old.bytes
-		old.entry = e
+		old.stored = st
 		old.bytes = size
 		s.bytes += size
 		s.moveToFront(old)
 	} else {
-		n := &lruNode{key: key, entry: e, bytes: size}
+		n := &lruNode{key: key, stored: st, bytes: size}
 		s.m[key] = n
 		s.pushFront(n)
 		s.bytes += size
@@ -303,9 +383,10 @@ func (s *shard) moveToBack(n *lruNode) {
 }
 
 // entryBytes estimates an entry's resident size: the key string, the plan
-// tree (one Node allocation per tree node), and fixed map/list bookkeeping.
-// The estimate is what the byte budget meters; it intentionally errs a
-// little high per node so the cache stays inside its configured footprint.
+// at 96 B per node, and fixed map/list bookkeeping. The estimate is what the
+// byte budget meters. It dates from plans stored as trees of 64-byte Nodes
+// and now counts about twice the 24-byte records the cache holds; it is kept
+// so a given byte budget admits the same entries it always has.
 func entryBytes(key string, e Entry) uint64 {
 	const (
 		nodeBytes  = 96  // plan.Node (64 B) plus allocator/pointer overhead

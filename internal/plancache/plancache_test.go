@@ -2,6 +2,8 @@ package plancache
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,8 +26,14 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored entry not found")
 	}
-	if got.Plan != want.Plan || got.Cost != 7 || got.Cardinality != 42 {
+	if got.Cost != 7 || got.Cardinality != 42 {
 		t.Fatalf("round trip changed entry: %+v", got)
+	}
+	// Get builds a fresh tree per call: equal to the stored plan bit for
+	// bit, never the caller's tree itself.
+	planBitIdentical(t, want.Plan, got.Plan)
+	if got.Plan == want.Plan {
+		t.Fatal("Get returned the tree that was stored")
 	}
 	st := c.Snapshot()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 {
@@ -33,6 +41,12 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 	if st.Shards != DefaultShards || st.Capacity != DefaultMaxBytes {
 		t.Fatalf("defaults not applied: %+v", st)
+	}
+	// Put kept no pointer to the caller's tree, and the tree Get returned
+	// is the caller's to rewrite.
+	want.Plan.Card, got.Plan.Card = -1, -2
+	if again, _ := c.Get("k"); again.Plan.Card != 42 {
+		t.Fatalf("a caller's write reached the cached plan: card %v", again.Plan.Card)
 	}
 }
 
@@ -202,8 +216,9 @@ func TestDistinctKeysNeverAlias(t *testing.T) {
 
 // TestGetBytesMatchesGet proves the byte-key lookup is behaviorally identical
 // to the string one — same shard choice, same hit/miss outcomes, same LRU and
-// counter effects — and that a GetBytes hit performs zero allocations (the
-// engine's serve path builds its key in a reused buffer).
+// counter effects — and that a GetBytes hit allocates only the plan it
+// returns, never the key (the engine's serve path builds its key in a reused
+// buffer).
 func TestGetBytesMatchesGet(t *testing.T) {
 	c := New(0, 0)
 	keys := make([]string, 64)
@@ -220,9 +235,10 @@ func TestGetBytesMatchesGet(t *testing.T) {
 			t.Fatalf("GetBytes(%q) returned entry with cost %v, want %d", k, got.Cost, i)
 		}
 		ref, ok := c.Get(k)
-		if !ok || ref.Plan != got.Plan {
+		if !ok {
 			t.Fatalf("Get and GetBytes disagree for %q", k)
 		}
+		planBitIdentical(t, ref.Plan, got.Plan)
 	}
 	if _, ok := c.GetBytes([]byte("absent")); ok {
 		t.Fatal("GetBytes reported a hit for an absent key")
@@ -232,13 +248,15 @@ func TestGetBytesMatchesGet(t *testing.T) {
 		t.Fatalf("counters after 128 hits, 1 miss: %+v", st)
 	}
 
+	// The key lookup allocates nothing; the one allocation is the slab of
+	// the fresh plan tree the hit returns.
 	key := []byte(keys[7])
 	if got := testing.AllocsPerRun(100, func() {
 		if _, ok := c.GetBytes(key); !ok {
 			t.Fatal("hit became a miss")
 		}
-	}); got != 0 {
-		t.Fatalf("GetBytes hit allocated %.0f times per op, want 0", got)
+	}); got != 1 {
+		t.Fatalf("GetBytes hit allocated %.0f times per op, want 1 (the plan)", got)
 	}
 }
 
@@ -291,5 +309,37 @@ func TestDownrankSingleEntry(t *testing.T) {
 		if _, ok := c.Get(k); !ok {
 			t.Fatalf("%s missing after single-entry downrank", k)
 		}
+	}
+}
+
+// TestEntryLiveBytes pins what one cached plan holds on the heap: 2,000
+// entries whose plans span 13 relations (25 nodes) under 400-byte keys,
+// opt-cold's average key length, must hold at most 1.6 KB each after GC, and
+// never more than entryBytes meters for them. The plans are built, not
+// optimized: the bytes do not depend on how a plan was found.
+func TestEntryLiveBytes(t *testing.T) {
+	const entries, rels, keyLen = 2000, 13, 400
+	prefix := strings.Repeat("k", keyLen-8)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(1<<30, 0)
+	var metered uint64
+	for i := 0; i < entries; i++ {
+		key := fmt.Sprintf("%s%08d", prefix, i)
+		e := testEntry(rels)
+		metered = entryBytes(key, e)
+		c.Put(key, e)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / entries
+	runtime.KeepAlive(c)
+	t.Logf("live heap %.0f B per entry; entryBytes meters %d B", perEntry, metered)
+	if perEntry > 1600 {
+		t.Errorf("live heap %.0f B per entry, want at most 1600", perEntry)
+	}
+	if perEntry > float64(metered) {
+		t.Errorf("live heap %.0f B per entry exceeds the %d B entryBytes meters", perEntry, metered)
 	}
 }

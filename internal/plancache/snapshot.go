@@ -89,10 +89,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // WriteSnapshot serializes every resident entry to w. Entries are collected
 // shard by shard under each shard's lock — concurrent traffic keeps flowing
-// between shards — and encoded outside it (plans are immutable once cached,
-// so only the key/scalar copy needs the lock). Within a shard, entries are
-// written least-recently-used first, so a sequential LoadSnapshot restores
-// the recency order along with the contents.
+// between shards — and encoded outside it (plan records are immutable once
+// cached, so only the key/scalar copy needs the lock). Within a shard,
+// entries are written least-recently-used first, so a sequential
+// LoadSnapshot restores the recency order along with the contents.
 //
 // A write error aborts the snapshot; the caller (internal/snapshot) writes to
 // a temp file and renames only on success, so a failed snapshot never damages
@@ -125,7 +125,7 @@ func (c *Cache) WriteSnapshotFiltered(w io.Writer, keep func(key string) bool) (
 		// entry out before unlocking so eviction cannot race the encode.
 		copies := make([]struct {
 			key string
-			e   Entry
+			e   stored
 		}, 0, len(entries))
 		for _, n := range entries {
 			if keep != nil && !keep(n.key) {
@@ -133,8 +133,8 @@ func (c *Cache) WriteSnapshotFiltered(w io.Writer, keep func(key string) bool) (
 			}
 			copies = append(copies, struct {
 				key string
-				e   Entry
-			}{n.key, n.entry})
+				e   stored
+			}{n.key, n.stored})
 		}
 		s.mu.Unlock()
 		for _, ent := range copies {
@@ -160,9 +160,9 @@ func (c *Cache) WriteSnapshotFiltered(w io.Writer, keep func(key string) bool) (
 // cache-fill payload: the receiving side restores it with the ordinary
 // LoadSnapshot path, every corruption tolerance included, so a damaged fill
 // degrades to a no-op exactly like a damaged snapshot. The read takes no
-// serving side effects (Peek).
+// serving side effects.
 func (c *Cache) WriteEntry(w io.Writer, key []byte) (bool, WriteStats, error) {
-	e, ok := c.Peek(key)
+	e, ok := c.peek(key)
 	var st WriteStats
 	if !ok {
 		return false, st, nil
@@ -185,7 +185,7 @@ func (c *Cache) WriteEntry(w io.Writer, key []byte) (bool, WriteStats, error) {
 
 // writeRecord frames and checksums one encoded entry, returning the (possibly
 // regrown) scratch buffer for reuse.
-func writeRecord(bw *bufio.Writer, scratch []byte, key string, e Entry) ([]byte, error) {
+func writeRecord(bw *bufio.Writer, scratch []byte, key string, e stored) ([]byte, error) {
 	scratch = encodeEntry(scratch[:0], key, e)
 	var frame [binary.MaxVarintLen64]byte
 	if _, err := bw.Write(frame[:binary.PutUvarint(frame[:], uint64(len(scratch)))]); err != nil {
@@ -205,40 +205,38 @@ func writeRecord(bw *bufio.Writer, scratch []byte, key string, e Entry) ([]byte,
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeEntry appends one entry's payload: the cache key, the scalar
-// bookkeeping, and the plan tree. Floats are fixed-width IEEE bits so the
-// restore is bit-identical; counts are uvarints.
-func encodeEntry(b []byte, key string, e Entry) []byte {
+// bookkeeping, and the plan in preorder, straight from the stored records.
+// Leaves carry (rel, card); inner nodes carry (card, cost, algorithm name).
+// Relation sets are not written — they are derivable (and re-derived on
+// load, then cross-checked by plan.Validate). Cached plans carry no
+// algorithm names, so every name is written as length 0. Floats are
+// fixed-width IEEE bits so the restore is bit-identical; counts are
+// uvarints.
+func encodeEntry(b []byte, key string, e stored) []byte {
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cost))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cardinality))
-	b = binary.AppendUvarint(b, e.Counters.SubsetsVisited)
-	b = binary.AppendUvarint(b, e.Counters.LoopIters)
-	b = binary.AppendUvarint(b, e.Counters.KppEvals)
-	b = binary.AppendUvarint(b, e.Counters.KpEvals)
-	b = binary.AppendUvarint(b, e.Counters.CondHits)
-	b = binary.AppendUvarint(b, e.Counters.ThresholdSkips)
-	b = binary.AppendUvarint(b, uint64(e.Counters.Passes))
-	return encodePlan(b, e.Plan)
-}
-
-// encodePlan appends the plan tree preorder. Leaves carry (rel, card); inner
-// nodes carry (card, cost, algorithm) and recurse. Relation sets are not
-// stored — they are derivable (and re-derived on load, then cross-checked by
-// plan.Validate).
-func encodePlan(b []byte, n *plan.Node) []byte {
-	if n.IsLeaf() {
-		b = append(b, 0)
-		b = binary.AppendUvarint(b, uint64(n.Rel))
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Card))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.cost))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.card))
+	b = binary.AppendUvarint(b, e.counters.SubsetsVisited)
+	b = binary.AppendUvarint(b, e.counters.LoopIters)
+	b = binary.AppendUvarint(b, e.counters.KppEvals)
+	b = binary.AppendUvarint(b, e.counters.KpEvals)
+	b = binary.AppendUvarint(b, e.counters.CondHits)
+	b = binary.AppendUvarint(b, e.counters.ThresholdSkips)
+	b = binary.AppendUvarint(b, uint64(e.counters.Passes))
+	for _, r := range e.plan {
+		if r.set.IsSingleton() {
+			b = append(b, 0)
+			b = binary.AppendUvarint(b, uint64(r.set.Min()))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.card))
+			continue
+		}
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.card))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.cost))
+		b = binary.AppendUvarint(b, 0) // algorithm name length
 	}
-	b = append(b, 1)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Card))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Cost))
-	b = binary.AppendUvarint(b, uint64(len(n.Algorithm)))
-	b = append(b, n.Algorithm...)
-	b = encodePlan(b, n.Left)
-	return encodePlan(b, n.Right)
+	return b
 }
 
 // errCorrupt marks payload-level decode failures inside LoadSnapshot; the
@@ -257,7 +255,9 @@ var errCorrupt = errors.New("plancache: corrupt snapshot record")
 // Structural validation (plan.Validate plus relation-index bounds) runs on
 // every record before it is admitted: a record whose checksum passes but
 // whose content could poison a hit — a malformed tree, NaN bookkeeping — is
-// skipped like any other corruption.
+// skipped like any other corruption. So is a record that names a join
+// algorithm: the cache stores none, so only a foreign or crafted writer
+// produces one.
 func (c *Cache) LoadSnapshot(r io.Reader) (LoadStats, error) {
 	var st LoadStats
 	br := bufio.NewReader(r)
@@ -492,24 +492,21 @@ func (d *decoder) plan(nodes *int) *plan.Node {
 	case 1:
 		card := d.float()
 		cost := d.float()
-		alen := d.uvarint()
-		if d.err != nil || alen > 64 {
+		if alen := d.uvarint(); d.err != nil || alen != 0 {
 			d.fail()
 			return nil
 		}
-		alg := string(d.bytes(int(alen)))
 		left := d.plan(nodes)
 		right := d.plan(nodes)
 		if d.err != nil {
 			return nil
 		}
 		return &plan.Node{
-			Set:       left.Set | right.Set,
-			Card:      card,
-			Cost:      cost,
-			Algorithm: alg,
-			Left:      left,
-			Right:     right,
+			Set:   left.Set | right.Set,
+			Card:  card,
+			Cost:  cost,
+			Left:  left,
+			Right: right,
 		}
 	default:
 		d.fail()

@@ -272,6 +272,44 @@ func TestSnapshotLoadCorruptionMatrix(t *testing.T) {
 	}
 }
 
+// TestSnapshotLoadRejectsAlgorithmName: the cache stores no join algorithm
+// names and writes every name as length 0, so a checksummed record that
+// names one comes only from a foreign or crafted writer and is skipped as
+// corrupt. The same record with an empty name loads.
+func TestSnapshotLoadRejectsAlgorithmName(t *testing.T) {
+	record := func(alg string) []byte {
+		var p []byte
+		p = binary.AppendUvarint(p, 1)
+		p = append(p, 'k')
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
+		p = append(p, make([]byte, 7)...) // seven zero counters
+		p = append(p, 1)                  // inner node: card, cost, name
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
+		p = binary.AppendUvarint(p, uint64(len(alg)))
+		p = append(p, alg...)
+		for rel, card := range []float64{2, 3} { // two leaves: rel, card
+			p = append(p, 0)
+			p = binary.AppendUvarint(p, uint64(rel))
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(card))
+		}
+		out := append([]byte(snapshotMagic), binary.AppendUvarint(nil, uint64(len(p)))...)
+		out = append(out, p...)
+		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, crcTable))
+	}
+	for _, tc := range []struct {
+		alg             string
+		loaded, skipped int
+	}{{"", 1, 0}, {"naive", 0, 1}} {
+		c := New(1<<20, 1)
+		st, err := c.LoadSnapshot(bytes.NewReader(record(tc.alg)))
+		if err != nil || st.Loaded != tc.loaded || st.Skipped != tc.skipped {
+			t.Errorf("name %q: stats %+v err %v, want %d loaded, %d skipped", tc.alg, st, err, tc.loaded, tc.skipped)
+		}
+	}
+}
+
 // TestSnapshotLoadBudgetReject: entries that exceed the destination shard's
 // byte budget are counted rejected, not loaded.
 func TestSnapshotLoadBudgetReject(t *testing.T) {

@@ -14,9 +14,9 @@
 //     semaphore, and every request carries a memory budget tied to the
 //     engine's table arena. As occupancy rises the effective deadline
 //     shrinks, which — mapped onto WithDeadlineLadder — degrades responses
-//     through cheaper rungs (threshold → IDP → greedy) before the server
-//     finally sheds load with 503. A degraded-but-fast plan beats a refusal:
-//     even cardinality-free plans are usually serviceable.
+//     through cheaper rungs (IDP → greedy) before the server finally sheds
+//     load with 503. A degraded-but-fast plan beats a refusal: even
+//     cardinality-free plans are usually serviceable.
 //
 //   - Drain: BeginDrain flips /readyz to 503 so load balancers stop routing
 //     here, while in-flight requests run to completion; cmd/blitzd wires it
@@ -255,8 +255,8 @@ type OptimizeResponse struct {
 	Cost        float64 `json:"cost"`
 	Cardinality float64 `json:"cardinality"`
 	// Mode is the optimizer rung that produced the plan ("exhaustive",
-	// "threshold", "idp", "greedy"); anything but exhaustive means a budget
-	// or server overload degraded the response.
+	// "idp", "greedy"); anything but exhaustive means a budget or server
+	// overload degraded the response.
 	Mode     string `json:"mode"`
 	Degraded bool   `json:"degraded"`
 	// Cached reports a plan-cache hit; Coalesced reports that this request
@@ -637,7 +637,7 @@ func (s *Server) admit(ctx context.Context) *serveErr {
 // effectiveTimeout maps the requested deadline through the overload ladder:
 // as in-flight occupancy (used, sampled before this request's own slot)
 // rises, the deadline shrinks by powers of two, so the degradation ladder
-// lands on cheaper rungs (threshold → IDP → greedy) while the server still
+// lands on cheaper rungs (IDP → greedy) while the server still
 // answers every admitted request.
 func (s *Server) effectiveTimeout(req *OptimizeRequest, used int) time.Duration {
 	d := s.cfg.RequestTimeout

@@ -20,7 +20,10 @@ import (
 // chainBody returns the JSON for an n-relation chain query. Distinct
 // cardinalities keep different test queries on distinct canonical
 // fingerprints, so tests never coalesce by accident.
-func chainBody(n int, card float64) string {
+func chainBody(n int, card float64) string { return chainBodySel(n, card, 0.001) }
+
+// chainBodySel is chainBody with every join at the given selectivity.
+func chainBodySel(n int, card, sel float64) string {
 	var b strings.Builder
 	b.WriteString(`{"relations":[`)
 	for i := 0; i < n; i++ {
@@ -34,7 +37,7 @@ func chainBody(n int, card float64) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"a":"R%d","b":"R%d","selectivity":0.001}`, i, i+1)
+		fmt.Fprintf(&b, `{"a":"R%d","b":"R%d","selectivity":%g}`, i, i+1, sel)
 	}
 	b.WriteString(`]}`)
 	return b.String()
@@ -499,10 +502,11 @@ func TestOverloadDegrades(t *testing.T) {
 		<-s.inflight // free the slot so the request admits after sampling
 	}()
 
-	// A 20-relation chain cannot finish exhaustively inside the shrunken
-	// deadline (1600 ms / 8 = 200 ms at full occupancy), so the ladder must
-	// land on a cheaper rung — and still answer 200.
-	code, b := postOptimize(t, ts.URL, withOpts(chainBody(20, 1000), `"timeout_ms":1600`))
+	// A 20-relation chain at selectivity 0.01 cannot finish exhaustively
+	// inside the shrunken deadline (1600 ms / 8 = 200 ms at full occupancy):
+	// even greedy-seeded, its fill takes about 2.3 s on a 2-vCPU Xeon. So
+	// the ladder must land on a cheaper rung — and still answer 200.
+	code, b := postOptimize(t, ts.URL, withOpts(chainBodySel(20, 1000, 0.01), `"timeout_ms":1600`))
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (degrade, not shed): %s", code, b)
 	}

@@ -3,7 +3,6 @@ package blitzsplit
 import (
 	"context"
 	"errors"
-	"math"
 	"time"
 
 	"blitzsplit/internal/baseline"
@@ -41,24 +40,17 @@ func ladderK(n int) int {
 	return 6
 }
 
-// thresholdAbove returns a plan-cost threshold strictly above the given
-// upper bound, so a plan costing exactly the bound still survives the
-// threshold pass's strict comparisons.
-func thresholdAbove(bound float64) float64 {
-	return bound*(1+1e-9) + math.SmallestNonzeroFloat64
-}
-
-// runLadder is the degradation ladder: exhaustive blitzsplit, then a
-// threshold-pruned pass seeded by a greedy upper bound, then bounded IDP
-// with randomized polish, then the greedy plan itself. Rungs are attempted
-// in order until one finishes inside the budget; the greedy floor always
-// does. Explicit cancellation aborts between rungs instead of degrading.
-// Rungs 1 and 2 draw their 2^n tables from the engine's arena, so a rung cut
-// down mid-run returns its table to the pool instead of leaking it; rung 3
-// allocates only its per-round tables over subsets of at most ladderK units.
-// Without WithMemoryBudget, rung 1 is admitted against the arena's capacity,
-// as blitzd admits every request: a table the arena could never pool is
-// refused before it is allocated, and the ladder answers from IDP instead.
+// runLadder is the degradation ladder: exhaustive blitzsplit seeded with the
+// greedy plan's §6.4 threshold, then bounded IDP with randomized polish, then
+// the greedy plan itself. Rungs are attempted in order until one finishes
+// inside the budget; the greedy floor always does. Explicit cancellation
+// aborts between rungs instead of degrading. Rung 1 draws its 2^n table from
+// the engine's arena, so a rung cut down mid-run returns its table to the
+// pool instead of leaking it; rung 2 allocates only its per-round tables over
+// subsets of at most ladderK units. Without WithMemoryBudget, rung 1 is
+// admitted against the arena's capacity, as blitzd admits every request: a
+// table the arena could never pool is refused before it is allocated, and
+// the ladder answers from IDP instead.
 func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*outcome, error) {
 	ctxErr := func() error {
 		if ctx == nil {
@@ -70,9 +62,30 @@ func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*out
 		cfg.opts.MemoryBudget = e.arena.Stats().Capacity
 	}
 
-	// Rung 1: exhaustive, within half the remaining budget.
+	// The greedy plan seeds rung 1 and is the ladder's floor. Validate and
+	// resolve the enumerator first, so an invalid query fails with core's
+	// errors, not greedy's.
+	if err := cq.Validate(); err != nil {
+		return nil, err
+	}
+	enum, err := cfg.opts.EnumeratorFor(cq)
+	if err != nil {
+		return nil, err
+	}
+	m := cfg.model()
+	greedy, threshold, err := baseline.Seed(cq.Cards, cq.Graph, m, enum == core.EnumeratorCCP)
+	if err != nil {
+		return nil, err
+	}
+
+	// Rung 1: exhaustive, within half the remaining budget. Unless the
+	// caller set a threshold of their own, the greedy seed prunes the fill
+	// to one pass that still returns the exact optimum.
 	faultinject.Inject(faultinject.FacadeRung)
 	opts := cfg.opts
+	if opts.CostThreshold == 0 {
+		opts.CostThreshold = threshold
+	}
 	rctx, cancel := rungSlice(ctx)
 	opts.Ctx = rctx
 	res, err := core.Optimize(cq, opts)
@@ -86,40 +99,8 @@ func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*out
 	if errors.Is(ctxErr(), context.Canceled) {
 		return nil, err // the caller cancelled; they want out, not a fallback
 	}
-	var be *core.BudgetError
-	memoryBound := errors.As(err, &be) && be.Phase == core.PhaseAdmission
 
-	m := cfg.model()
-	// The greedy bound seeds the threshold rung and is the ladder's floor.
-	greedy, gerr := baseline.GreedyLeftDeep(cq.Cards, cq.Graph, m)
-	if gerr != nil {
-		return nil, gerr
-	}
-
-	// Rung 2: threshold-pruned exhaustive. The greedy cost bounds the
-	// optimum from above, so a threshold just beyond it keeps the optimum
-	// reachable while the §6.4 pruning skips nearly all κ″ work. Pointless
-	// when the table itself was refused (same footprint) or time is up.
-	if !memoryBound && ctxErr() == nil {
-		faultinject.Inject(faultinject.FacadeRung)
-		topts := cfg.opts
-		rctx, cancel = rungSlice(ctx)
-		topts.Ctx = rctx
-		topts.CostThreshold = thresholdAbove(greedy.Cost)
-		res, err = core.Optimize(cq, topts)
-		cancel()
-		if err == nil {
-			return &outcome{plan: res.Plan, cost: res.Cost, card: res.Cardinality, counters: res.Counters, mode: ModeThreshold}, nil
-		}
-		if !errors.Is(err, core.ErrBudgetExceeded) {
-			return nil, err
-		}
-		if errors.Is(ctxErr(), context.Canceled) {
-			return nil, err
-		}
-	}
-
-	// Rung 3: bounded IDP plus polish — polynomial time and space. A round
+	// Rung 2: bounded IDP plus polish — polynomial time and space. A round
 	// over u units holds Σ_{k≤ladderK} C(u, k) entries, at most 17.6 MiB at
 	// n = 30, which MemBudget does not count.
 	if ctxErr() == nil {
@@ -143,7 +124,7 @@ func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*out
 		}
 	}
 
-	// Rung 4: the greedy floor — O(n²), already computed, cannot fail.
+	// Rung 3: the greedy floor — O(n²), already computed, cannot fail.
 	faultinject.Inject(faultinject.FacadeRung)
 	return &outcome{plan: greedy.Plan, cost: greedy.Cost, card: greedy.Plan.Card, mode: ModeGreedy}, nil
 }

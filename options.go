@@ -218,17 +218,20 @@ func WithMemoryBudget(budget uint64) Option {
 // ladder of ever-cheaper optimizers and recording the winning rung in
 // Result.Mode:
 //
-//	exhaustive → threshold-pruned exhaustive → bounded IDP + polish → greedy
+//	greedy-seeded exhaustive → bounded IDP + polish → greedy
 //
-// With a deadline, each attempted rung gets half the remaining budget so
-// lower rungs always retain time to run; the greedy floor is O(n²) and needs
-// effectively none. Without WithMemoryBudget the exhaustive rungs are
-// admitted against the engine arena's capacity, so a query whose table
-// exceeds the arena (n ≥ 24 under the default naive model on a join graph)
-// answers from IDP or greedy without allocating the table. Every rung's plan
-// passes Result.Verify. Explicit cancellation (context.Canceled, as opposed
-// to a deadline) aborts the ladder and returns the budget error: a caller
-// that cancelled wants no answer at all.
+// The greedy plan is computed first: unless WithCostThreshold is set, its
+// cost seeds the exhaustive rung's §6.4 threshold whenever the plan lies in
+// the searched space, so that rung runs one pruned pass that still returns
+// the exact optimum. With a deadline, each attempted rung gets half the
+// remaining budget so lower rungs always retain time to run; the greedy
+// floor is O(n²) and needs effectively none. Without WithMemoryBudget the
+// exhaustive rung is admitted against the engine arena's capacity, so a
+// query whose table exceeds the arena (n ≥ 24 under the default naive model
+// on a join graph) answers from IDP or greedy without allocating the table.
+// Every rung's plan passes Result.Verify. Explicit cancellation
+// (context.Canceled, as opposed to a deadline) aborts the ladder and returns
+// the budget error: a caller that cancelled wants no answer at all.
 func WithDeadlineLadder() Option {
 	return func(c *config) error {
 		c.ladder = true

@@ -16,16 +16,17 @@ type Result struct {
 	// Cardinality is the estimated result size.
 	Cardinality float64
 	// Counters holds the §3.3 instrumentation for the run. For a cached
-	// result they describe the cold run that populated the cache entry.
+	// result they describe the cold run that populated the cache entry; for
+	// a ladder run, the greedy-seeded pruned pass.
 	Counters Counters
 	// Mode records which optimizer produced the plan: ModeExhaustive for
-	// the full blitzsplit search, or the degradation-ladder rung
-	// (ModeThreshold, ModeIDP, ModeGreedy) that won under WithDeadlineLadder.
+	// the full blitzsplit search, or the degradation-ladder rung (ModeIDP,
+	// ModeGreedy) that won under WithDeadlineLadder.
 	Mode string
 	// Degraded reports that a resource budget forced the plan off the
 	// exhaustive rung. A degraded plan is still well-formed and
-	// cost-consistent (it passes Verify), but only ModeThreshold retains
-	// the optimality guarantee.
+	// cost-consistent (it passes Verify), but it carries no optimality
+	// guarantee.
 	Degraded bool
 	// Cached reports that the plan was served from the Engine's plan cache —
 	// rewritten from canonical to this query's relation numbering — rather

@@ -13,9 +13,9 @@ FUZZTIME ?= 10s
 COVER_MIN ?= 80
 COVER_PKGS = ./internal/core ./internal/check ./internal/canon ./internal/ccp ./internal/cluster ./internal/engine ./internal/exec ./internal/plancache ./internal/retry ./internal/server ./internal/snapshot ./internal/telemetry
 
-.PHONY: ci fmt vet build test race stress bench bench-parallel bench-enumerators bench-chaos bench-exec bench-cluster profile serve-smoke chaos-smoke cluster-smoke fuzz-smoke cover
+.PHONY: ci fmt vet build test race stress bench bench-parallel bench-enumerators bench-chaos bench-exec bench-cluster profile serve-smoke chaos-smoke cluster-smoke examples-smoke fuzz-smoke cover
 
-ci: fmt vet build test race stress cover fuzz-smoke serve-smoke chaos-smoke cluster-smoke
+ci: fmt vet build test race stress cover fuzz-smoke serve-smoke chaos-smoke cluster-smoke examples-smoke
 
 # gofmt is the style gate: any file needing reformatting fails the build.
 fmt:
@@ -107,30 +107,34 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'ParallelFill' -benchtime=3x ./internal/core/
 
+# The four artifact targets below pass -buildvcs=true: `go run` embeds no VCS
+# revision by default, and each artifact's "build" field should name the
+# commit that measured it.
+
 # Regenerate BENCH_enumerators.json (see EXPERIMENTS.md): the 3^n-vs-CCP
 # speedup curve by topology, about 25 s on one core. The n=25 clique
 # acceptance point is recorded as skipped; adding -enum-frontier measures it
 # (~8.5e11 split iterations, a couple of hours on one core).
 bench-enumerators:
-	$(GO) run ./cmd/blitzbench -exp enumerators -enum-json BENCH_enumerators.json
+	$(GO) run -buildvcs=true ./cmd/blitzbench -exp enumerators -enum-json BENCH_enumerators.json
 
 # Regenerate BENCH_chaos.json (see EXPERIMENTS.md): the crash-safety harness —
 # kill -9/restart cycles, snapshot corruption, and injected panics against a
 # real blitzd subprocess.
 bench-chaos:
-	$(GO) run ./cmd/blitzbench -exp chaos -chaos-json BENCH_chaos.json
+	$(GO) run -buildvcs=true ./cmd/blitzbench -exp chaos -chaos-json BENCH_chaos.json
 
 # Regenerate BENCH_exec.json (see EXPERIMENTS.md): the vectorized executor's
 # throughput on an optimal n=12 chain plan, plus the adaptive
 # re-optimization skew experiment.
 bench-exec:
-	$(GO) run ./cmd/blitzbench -exp exec -exec-json BENCH_exec.json
+	$(GO) run -buildvcs=true ./cmd/blitzbench -exp exec -exec-json BENCH_exec.json
 
 # Regenerate BENCH_cluster.json (see EXPERIMENTS.md): zipf traffic against a
 # 3-node fingerprint-sharded cluster of real blitzd subprocesses vs a single
 # node with the same per-node cache budget.
 bench-cluster:
-	$(GO) run ./cmd/blitzbench -exp cluster -budget 2s -cluster-json BENCH_cluster.json
+	$(GO) run -buildvcs=true ./cmd/blitzbench -exp cluster -budget 2s -cluster-json BENCH_cluster.json
 
 # One-stop profiling run: CPU + allocation profiles of the engine's cache-hit
 # and cold-fill benchmarks (n = 12 star), ready for go tool pprof. Their
@@ -182,3 +186,15 @@ chaos-smoke:
 cluster-smoke:
 	$(GO) test -race -timeout 300s -count=1 -run '^TestClusterSmoke$$' ./internal/server/
 	@echo "cluster-smoke: OK"
+
+# Examples smoke: `go build ./...` only compiles the examples/* programs; run
+# each one and fail on a nonzero exit, so a usage doc that breaks at run time
+# fails the gate too.
+examples-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for ex in examples/*/; do \
+		name=$$(basename "$$ex"); \
+		$(GO) build -o "$$dir/$$name" "./$$ex"; \
+		"$$dir/$$name" >/dev/null || { echo "examples-smoke: $$name exited nonzero"; exit 1; }; \
+	done; \
+	echo "examples-smoke: OK"

@@ -24,7 +24,6 @@ import (
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/hybrid"
 	"blitzsplit/internal/joingraph"
-	"blitzsplit/internal/orders"
 	"blitzsplit/internal/workload"
 )
 
@@ -267,38 +266,6 @@ func BenchmarkHybrid(b *testing.B) {
 			if _, err := hybrid.ChainedLocal(cards, g, m, hybrid.IDPOptions{
 				K: 8, Stochastic: baseline.StochasticOptions{Seed: int64(i + 1)},
 			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkOrders measures the §6.5 order-aware DP against plain blitzsplit
-// on a 12-relation shared-key chain (the state space roughly doubles).
-func BenchmarkOrders(b *testing.B) {
-	n := 12
-	cards := joingraph.CardinalityLadder(n, 5000, 0.25)
-	g := joingraph.New(n)
-	attrs := make([]int, 0, n-1)
-	order := joingraph.AppendixChainOrder(n)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(order[i-1], order[i], 1.0/1000)
-		attrs = append(attrs, 0)
-	}
-	b.Run("order-aware", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := orders.Optimize(orders.Problem{Cards: cards, Graph: g, EdgeAttr: attrs},
-				orders.CostParams{HashFactor: 6}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plain-blitzsplit", func(b *testing.B) {
-		q := core.Query{Cards: cards, Graph: g}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Optimize(q, core.Options{Model: cost.SortMerge{}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,14 +40,11 @@
 package blitzsplit
 
 import (
-	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/exec"
-	"blitzsplit/internal/joingraph"
 	"blitzsplit/internal/plan"
-	"blitzsplit/internal/schema"
 )
 
 // Plan is an optimized bushy join tree. Leaves scan base relations; inner
@@ -89,8 +86,8 @@ const (
 func ParseEnumerator(name string) (Enumerator, error) { return core.ParseEnumerator(name) }
 
 // ErrEnumeratorUnsupported is returned when EnumeratorCCP is requested for a
-// query outside its space: no join graph, a disconnected graph, a custom
-// estimator, or the left-deep restriction.
+// query outside its space: no join graph, a disconnected graph, or the
+// left-deep restriction.
 var ErrEnumeratorUnsupported = core.ErrEnumeratorUnsupported
 
 // Database is a synthesized in-memory instance that optimized plans can be
@@ -128,36 +125,6 @@ const (
 	// O(n²), no optimality guarantee, never fails — the ladder's floor.
 	ModeGreedy = "greedy"
 )
-
-// RelSet is a set of relation indexes packed into a machine word — the §4.1
-// representation that blitzsplit's speed rests on. Plan nodes carry one; the
-// Hypergraph API consumes them.
-type RelSet = bitset.Set
-
-// Rels builds a RelSet from relation indexes: Rels(0, 2) = {R0, R2}.
-func Rels(indexes ...int) RelSet { return bitset.Of(indexes...) }
-
-// Estimator supplies per-subset cardinality factors for predicate structures
-// beyond binary join graphs (§5.4's generalization hook): join hypergraphs
-// and implied-predicate equivalence classes.
-type Estimator = core.CardEstimator
-
-// Hypergraph is a join graph whose predicates may span more than two
-// relations. Build one with NewHypergraph and pass it to
-// OptimizeWithEstimator.
-type Hypergraph = joingraph.Hypergraph
-
-// NewHypergraph returns an edgeless hypergraph over n relations.
-func NewHypergraph(n int) *Hypergraph { return joingraph.NewHypergraph(n) }
-
-// Schema models join predicates as column equalities with distinct-value
-// counts; transitively equated columns form equivalence classes, giving
-// correct cardinalities for implied and redundant predicates. Build one with
-// NewSchema and pass it to OptimizeWithEstimator.
-type Schema = schema.Schema
-
-// NewSchema returns an empty schema over n relations.
-func NewSchema(n int) *Schema { return schema.New(n) }
 
 // Execute runs a plan against a synthesized database on the vectorized
 // columnar engine and returns the actual result cardinality. For another

@@ -12,7 +12,6 @@
 //	blitzbench -exp ablate             # implementation-trick ablations
 //	blitzbench -exp baselines          # blitzsplit vs Selinger/no-CP/stochastic
 //	blitzbench -exp hybrid             # §7: exact vs greedy vs IDP vs DP+local search past exhaustive n
-//	blitzbench -exp orders             # §6.5: interesting sort orders vs the property-blind optimum
 //	blitzbench -exp parallel           # rank-layer parallel fill: speedup vs workers
 //	blitzbench -exp enumerators        # 3^n scan vs csg–cmp enumerator: speedup by topology
 //	blitzbench -exp chaos              # crash safety: kill -9/corrupt/panic a real blitzd

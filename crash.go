@@ -175,17 +175,36 @@ func (e *Engine) recordPanic(v any, key string) error {
 	return &InternalError{Value: v, Stack: debug.Stack()}
 }
 
+// maxStrikeShapes bounds the quarantine strike map, so a stream of distinct
+// crashing shapes cannot grow it without limit.
+const maxStrikeShapes = 4096
+
 // strike records one optimizer panic against a cache key. Reaching the
 // quarantine threshold flips the shape to quarantined; later requests for it
 // are refused with *QuarantineError instead of re-running the panicking
-// search.
+// search. A new key that would overfill the map first forgets the shapes
+// still below the threshold, then, if every entry is quarantined, all of
+// them. Forgetting is safe: a forgotten shape's panics are still recovered,
+// and it earns quarantine again after DefaultQuarantineThreshold more.
 func (e *Engine) strike(key string) {
 	if key == "" {
 		return
 	}
 	e.quar.mu.Lock()
-	e.quar.strikes[key]++
-	if e.quar.strikes[key] == DefaultQuarantineThreshold {
+	n, ok := e.quar.strikes[key]
+	if !ok && len(e.quar.strikes) >= maxStrikeShapes {
+		for k, s := range e.quar.strikes {
+			if s < DefaultQuarantineThreshold {
+				delete(e.quar.strikes, k)
+			}
+		}
+		if len(e.quar.strikes) >= maxStrikeShapes {
+			clear(e.quar.strikes)
+			e.quar.quarantined = 0
+		}
+	}
+	e.quar.strikes[key] = n + 1
+	if n+1 == DefaultQuarantineThreshold {
 		e.quar.quarantined++
 	}
 	e.quar.mu.Unlock()

@@ -89,6 +89,60 @@ func TestEngineQuarantine(t *testing.T) {
 	}
 }
 
+// TestEngineQuarantineBounded: 10^5 distinct crashing shapes never grow the
+// strike map past its cap. A full map forgets shapes below the threshold
+// before quarantined ones, and QuarantinedShapes always counts exactly the
+// entries at or past the threshold.
+func TestEngineQuarantineBounded(t *testing.T) {
+	e := New(EngineOptions{DisableCache: true})
+	quarantined := func() int {
+		e.quar.mu.Lock()
+		defer e.quar.mu.Unlock()
+		n := 0
+		for _, s := range e.quar.strikes {
+			if s >= DefaultQuarantineThreshold {
+				n++
+			}
+		}
+		return n
+	}
+	const shapes = 100_000
+	for i := 0; i < shapes; i++ {
+		key := fmt.Sprintf("shape-%d", i)
+		strikes := 1
+		if i%7 == 0 {
+			strikes = DefaultQuarantineThreshold
+		}
+		for j := 0; j < strikes; j++ {
+			e.strike(key)
+			if n := len(e.quar.strikes); n > maxStrikeShapes {
+				t.Fatalf("shape %d: strike map holds %d entries, cap %d", i, n, maxStrikeShapes)
+			}
+		}
+		if i%1000 == 0 || i == shapes-1 {
+			if got, want := e.Stats().QuarantinedShapes, quarantined(); got != want {
+				t.Fatalf("shape %d: QuarantinedShapes = %d, want %d", i, got, want)
+			}
+		}
+	}
+
+	// A full map sheds below-threshold shapes first: a quarantined shape
+	// outlives a cap's worth of one-strike shapes behind it.
+	e = New(EngineOptions{DisableCache: true})
+	for j := 0; j < DefaultQuarantineThreshold; j++ {
+		e.strike("crashy")
+	}
+	for i := 0; i < 2*maxStrikeShapes; i++ {
+		e.strike(fmt.Sprintf("once-%d", i))
+	}
+	if _, out := e.quarantineStrikes([]byte("crashy")); !out {
+		t.Error("quarantined shape forgotten while below-threshold shapes remained")
+	}
+	if got := e.Stats().QuarantinedShapes; got != 1 {
+		t.Errorf("QuarantinedShapes = %d, want 1", got)
+	}
+}
+
 // TestEngineSnapshotRoundTrip: optimize → snapshot → restore into a fresh
 // engine → the replayed query is a cache hit, bit-identical to the original.
 func TestEngineSnapshotRoundTrip(t *testing.T) {

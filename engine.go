@@ -3,18 +3,15 @@ package blitzsplit
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
-	"blitzsplit/internal/baseline"
 	"blitzsplit/internal/canon"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/faultinject"
-	"blitzsplit/internal/hybrid"
 	"blitzsplit/internal/plancache"
 )
 
@@ -223,7 +220,7 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 	// the 2^n columns pooled instead of riding along until the next GC.
 	cfg.opts.DiscardTable = true
 	cfg.opts.Arena = e.arena
-	if e.cache == nil || cq.Estimator != nil {
+	if e.cache == nil {
 		o, err := e.run(cq, cfg)
 		if err != nil {
 			return nil, err
@@ -297,9 +294,8 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 // the key, and an explicit-CCP eligibility error must surface on hits exactly
 // as a cold run would report it. Connectivity comes memoized from the
 // canonicalization pass (no graph walk; cache hits stay allocation-free); the
-// remaining eligibility bits mirror core's ccpEligible, whose estimator case
-// never reaches here. opts.Enumerator is overwritten with the resolved
-// strategy.
+// remaining eligibility bits mirror core's ccpEligible. opts.Enumerator is
+// overwritten with the resolved strategy.
 func (e *Engine) planKey(sc *serveScratch, cq core.Query, opts *core.Options) error {
 	if err := sc.canon.Canonicalize(cq, canon.Options{SelectivityQuantum: e.quantum}); err != nil {
 		return err
@@ -439,92 +435,4 @@ func keyFingerprint(key []byte) (fp []byte, ok bool) {
 // New.
 func (q *Query) Optimize(options ...Option) (*Result, error) {
 	return Default().Optimize(nil, q, options...)
-}
-
-// OptimizeWithEstimator runs blitzsplit over base cardinalities with a
-// custom cardinality estimator instead of a binary join graph. Estimator
-// queries bypass the engine's plan cache: estimator state is opaque, so no
-// canonical fingerprint exists for it.
-func (e *Engine) OptimizeWithEstimator(ctx context.Context, cards []float64, est Estimator, options ...Option) (r *Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, e.recordPanic(v, "")
-		}
-	}()
-	if est == nil {
-		return nil, errors.New("blitzsplit: nil estimator")
-	}
-	cfg, err := newConfig(options)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ladder {
-		// The fallback rungs (IDP, greedy) estimate cardinalities from a
-		// binary join graph; a custom estimator has none to offer them.
-		return nil, errors.New("blitzsplit: WithDeadlineLadder is not supported with a custom estimator")
-	}
-	if cfg.ctx == nil {
-		cfg.ctx = ctx
-	}
-	cfg.opts.DiscardTable = true
-	cfg.opts.Arena = e.arena
-	o, err := e.run(core.Query{Cards: cards, Estimator: est}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.finish(o, nil, core.Query{Cards: cards, Estimator: est}), nil
-}
-
-// OptimizeWithEstimator is Engine.OptimizeWithEstimator on the Default
-// engine.
-func OptimizeWithEstimator(cards []float64, est Estimator, options ...Option) (*Result, error) {
-	return Default().OptimizeWithEstimator(nil, cards, est, options...)
-}
-
-// OptimizeLarge optimizes queries beyond exhaustive reach (n into the 20s)
-// with iterative dynamic programming of the given block size followed by
-// randomized local-search polishing — the hybrid direction the paper's §7
-// sketches. blockSize ≤ 0 selects 10. The returned Result carries no
-// optimizer counters (the hybrid does not run the full blitzsplit table) and
-// is never cached. Plans are near-optimal, not guaranteed optimal; with
-// blockSize ≥ the relation count the result is the exact optimum.
-func (e *Engine) OptimizeLarge(ctx context.Context, q *Query, blockSize int, options ...Option) (r *Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, e.recordPanic(v, "")
-		}
-	}()
-	cfg, err := newConfig(options)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ctx == nil {
-		cfg.ctx = ctx
-	}
-	cq, err := q.build()
-	if err != nil {
-		return nil, err
-	}
-	rctx, cancel := cfg.budgetContext()
-	defer cancel()
-	res, err := hybrid.ChainedLocal(cq.Cards, cq.Graph, cfg.model(), hybrid.IDPOptions{
-		K:          blockSize,
-		Stochastic: baseline.StochasticOptions{Seed: 1},
-		Ctx:        rctx,
-		Enumerator: cfg.opts.Enumerator,
-	})
-	if err != nil {
-		return nil, err
-	}
-	o := &outcome{plan: res.Plan, cost: res.Cost, card: res.Plan.Card, mode: ModeIDP}
-	r = cfg.finish(o, q.cat.Names(), cq)
-	// The caller asked for the hybrid; Mode records it, but nothing was
-	// degraded away from.
-	r.Degraded = false
-	return r, nil
-}
-
-// OptimizeLarge is Engine.OptimizeLarge on the Default engine.
-func (q *Query) OptimizeLarge(blockSize int, options ...Option) (*Result, error) {
-	return Default().OptimizeLarge(nil, q, blockSize, options...)
 }

@@ -232,30 +232,6 @@ func TestEngineCacheKeyNamesNaiveModel(t *testing.T) {
 	}
 }
 
-// Estimator queries are uncacheable and must bypass the cache silently.
-func TestEngineEstimatorBypassesCache(t *testing.T) {
-	eng := New(EngineOptions{})
-	sch := NewSchema(3)
-	sch.MustAddColumn(0, "k", 100)
-	sch.MustAddColumn(1, "k", 100)
-	sch.MustAddColumn(1, "j", 50)
-	sch.MustAddColumn(2, "j", 50)
-	sch.MustEquate(0, "k", 1, "k")
-	sch.MustEquate(1, "j", 2, "j")
-	for i := 0; i < 2; i++ {
-		res, err := eng.OptimizeWithEstimator(nil, []float64{100, 200, 300}, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cached {
-			t.Fatal("estimator result cannot be cached")
-		}
-	}
-	if st := eng.Stats(); st.Cache.Hits+st.Cache.Misses+st.Cache.Puts != 0 {
-		t.Fatalf("estimator runs touched the cache: %+v", st.Cache)
-	}
-}
-
 // Degraded ladder outcomes reflect one call's budget and must never be
 // stored; a later unconstrained call must re-optimize and cache the true
 // optimum.

@@ -54,18 +54,3 @@ func ExampleWithCostThreshold() {
 	// Output:
 	// cost 200 after 2 passes
 }
-
-// A ternary predicate via the hypergraph estimator.
-func ExampleOptimizeWithEstimator() {
-	h := blitzsplit.NewHypergraph(3)
-	if err := h.AddEdge(blitzsplit.Rels(0, 1, 2), 0.001); err != nil {
-		panic(err)
-	}
-	res, err := blitzsplit.OptimizeWithEstimator([]float64{100, 200, 50}, h)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("estimated rows: %.0f\n", res.Cardinality)
-	// Output:
-	// estimated rows: 1000
-}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -347,51 +346,5 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := q.Optimize(WithContext(nil)); err == nil { //nolint:staticcheck // deliberate misuse
 		t.Error("nil context accepted")
-	}
-}
-
-// TestEstimatorRejectsLadder: the fallback rungs need a binary join graph
-// for cardinalities, so the estimator entry point refuses the ladder.
-func TestEstimatorRejectsLadder(t *testing.T) {
-	_, err := OptimizeWithEstimator([]float64{2, 3}, unitEstimator{}, WithDeadlineLadder())
-	if err == nil || !strings.Contains(err.Error(), "WithDeadlineLadder") {
-		t.Fatalf("err = %v, want a ladder-unsupported error", err)
-	}
-}
-
-// unitEstimator is the trivial estimator: no predicates, pure products.
-type unitEstimator struct{}
-
-func (unitEstimator) StepFactor(bitset.Set) float64 { return 1 }
-
-// TestEstimatorExpressionFallsBackToIndexes is the regression test for the
-// Expression crash on name-less results: OptimizeWithEstimator carries no
-// relation names, and Expression must render R<i> placeholders instead of
-// panicking on the nil name slice.
-func TestEstimatorExpressionFallsBackToIndexes(t *testing.T) {
-	res, err := OptimizeWithEstimator([]float64{2, 3, 4}, unitEstimator{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	expr := res.Expression()
-	for _, want := range []string{"R0", "R1", "R2"} {
-		if !strings.Contains(expr, want) {
-			t.Fatalf("Expression() = %q, missing %s", expr, want)
-		}
-	}
-}
-
-// TestEstimatorHonorsContext: the estimator entry point shares the budget
-// plumbing.
-func TestEstimatorHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cards := make([]float64, 14)
-	for i := range cards {
-		cards[i] = float64(10 + i)
-	}
-	_, err := OptimizeWithEstimator(cards, unitEstimator{}, WithContext(ctx))
-	if !errors.Is(err, ErrBudgetExceeded) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded ∧ context.Canceled", err)
 	}
 }

@@ -90,7 +90,7 @@ func (c Config) stamp(cases []workload.Case) []workload.Case {
 
 // Names lists the experiment names Run accepts, in recommended order.
 func Names() []string {
-	return []string{"table1", "fig2", "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "hybrid", "orders", "parallel", "enumerators", "chaos", "exec", "cluster"}
+	return []string{"table1", "fig2", "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "hybrid", "parallel", "enumerators", "chaos", "exec", "cluster"}
 }
 
 // Run executes the named experiment ("all" runs every one) and, when csvPath
@@ -127,8 +127,6 @@ func Run(name string, cfg Config, csvPath string) error {
 		err = Baselines(cfg)
 	case "hybrid":
 		err = Hybrid(cfg)
-	case "orders":
-		err = Orders(cfg)
 	case "parallel":
 		err = Parallel(cfg)
 	case "enumerators":

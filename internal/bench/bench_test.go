@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -156,5 +158,27 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.out() == nil {
 		t.Error("default out is nil")
+	}
+}
+
+// TestWriteArtifactRecordsBuild: every BENCH artifact names the build that
+// measured it, so a file can be traced to its toolchain and revision.
+func TestWriteArtifactRecordsBuild(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if err := writeArtifact(path, "test", "go test", "note", []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		Build string `json:"build"`
+	}
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(art.Build, runtime.Version()) {
+		t.Errorf("build = %q, want it to name %s", art.Build, runtime.Version())
 	}
 }

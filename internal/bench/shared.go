@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"blitzsplit/internal/buildinfo"
 	"blitzsplit/internal/retry"
 	"blitzsplit/internal/workload"
 )
@@ -62,11 +63,13 @@ func scrapeVars(client *http.Client, base string) (map[string]float64, error) {
 
 // writeArtifact writes a BENCH_*.json measurement record: the experiment's
 // results under a header that names the experiment, the command that
-// regenerates the file, and the host it was measured on.
+// regenerates the file, the build that measured it, and the host it was
+// measured on.
 func writeArtifact(path, benchmark, command, note string, results any) error {
 	art := struct {
 		Benchmark  string `json:"benchmark"`
 		Command    string `json:"command"`
+		Build      string `json:"build"`
 		Date       string `json:"date"`
 		Goos       string `json:"goos"`
 		Goarch     string `json:"goarch"`
@@ -77,6 +80,7 @@ func writeArtifact(path, benchmark, command, note string, results any) error {
 	}{
 		Benchmark:  benchmark,
 		Command:    command,
+		Build:      buildinfo.String(),
 		Date:       time.Now().Format("2006-01-02"),
 		Goos:       runtime.GOOS,
 		Goarch:     runtime.GOARCH,

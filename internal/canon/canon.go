@@ -22,7 +22,6 @@ package canon
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -32,11 +31,6 @@ import (
 	"blitzsplit/internal/joingraph"
 	"blitzsplit/internal/plan"
 )
-
-// ErrEstimator is returned for queries with a custom cardinality estimator:
-// estimator state is opaque, so neither a relabeling nor a serialization of
-// it exists. Such queries are simply uncacheable.
-var ErrEstimator = errors.New("canon: queries with a custom estimator cannot be canonicalized")
 
 // Options configures canonicalization.
 type Options struct {

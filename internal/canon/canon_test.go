@@ -55,17 +55,6 @@ func chainQuery(cards []float64, sels []float64) core.Query {
 	return core.Query{Cards: cards, Graph: g}
 }
 
-func TestCanonicalizeRejectsEstimator(t *testing.T) {
-	q := core.Query{Cards: []float64{10, 20}, Estimator: stepOne{}}
-	if _, err := Canonicalize(q, Options{}); err != ErrEstimator {
-		t.Fatalf("estimator query: got err %v, want ErrEstimator", err)
-	}
-}
-
-type stepOne struct{}
-
-func (stepOne) StepFactor(bitset.Set) float64 { return 1 }
-
 func TestCanonicalizeRejectsInvalid(t *testing.T) {
 	if _, err := Canonicalize(core.Query{}, Options{}); err == nil {
 		t.Fatal("empty query: want validation error")

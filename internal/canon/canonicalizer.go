@@ -62,9 +62,6 @@ type Canonicalizer struct {
 // (Fingerprint, ToOrig, Exact) expose the result without copying; Canonical
 // materializes a persistent copy for callers that outlive the scratch.
 func (c *Canonicalizer) Canonicalize(q core.Query, opts Options) error {
-	if q.Estimator != nil {
-		return ErrEstimator
-	}
 	if err := q.Validate(); err != nil {
 		return err
 	}

@@ -30,17 +30,12 @@ import (
 //     share a fingerprint must optimize to bitwise-identical results —
 //     fingerprints are full serializations, so equal fingerprints mean equal
 //     queries and the cache can never alias.
-//
-// Estimator queries are uncacheable (canon.ErrEstimator) and vacuously pass.
 func (c Checker) CacheFaithful(q core.Query, opts core.Options, perm []int) error {
 	if len(perm) != len(q.Cards) {
 		return errors.New("check: permutation length does not match relation count")
 	}
 	cn, err := canon.Canonicalize(q, canon.Options{})
 	if err != nil {
-		if errors.Is(err, canon.ErrEstimator) {
-			return nil // uncacheable by design
-		}
 		return fmt.Errorf("check: canonicalize: %w", err)
 	}
 	stored, storedErr := c.optimize(cn.Query(), opts)

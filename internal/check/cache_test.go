@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/check"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
@@ -95,19 +94,6 @@ func TestCacheFaithfulCatchesBrokenOptimizer(t *testing.T) {
 	}
 }
 
-// Estimator queries are uncacheable and must pass vacuously.
-func TestCacheFaithfulSkipsEstimators(t *testing.T) {
-	var c check.Checker
-	q := core.Query{Cards: []float64{10, 20, 30}, Estimator: constStep{}}
-	if err := c.CacheFaithful(q, core.Options{}, []int{1, 2, 0}); err != nil {
-		t.Fatalf("estimator query should pass vacuously: %v", err)
-	}
-}
-
-type constStep struct{}
-
-func (constStep) StepFactor(bitset.Set) float64 { return 0.5 }
-
 // Error plumbing for CacheFaithful, mirroring SnapshotFaithful's: argument
 // validation and optimizer failures must not pass silently.
 func TestCacheFaithfulErrorPaths(t *testing.T) {
@@ -129,15 +115,5 @@ func TestCacheFaithfulErrorPaths(t *testing.T) {
 	}}
 	if err := c.CacheFaithful(q, core.Options{}, perm); err != nil {
 		t.Errorf("stored ErrNoPlan should pass vacuously: %v", err)
-	}
-}
-
-// CostConsistent's reference cardinality must follow the §5.4 min-split
-// recurrence for estimator queries, not just the join-graph product.
-func TestCostConsistentEstimatorCardinality(t *testing.T) {
-	q := core.Query{Cards: []float64{10, 20, 30}, Estimator: constStep{}}
-	res := optimize(t, q, core.Options{})
-	if err := check.CostConsistent(q, cost.Naive{}, res); err != nil {
-		t.Fatalf("CostConsistent on estimator query: %v", err)
 	}
 }

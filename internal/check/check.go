@@ -77,18 +77,10 @@ func closeEnough(a, b, tol float64) bool {
 
 // cardOf computes the reference cardinality of relation set s under q,
 // independent of any DP table: the §5.1 induced-subgraph product for join
-// graphs, the plain Cartesian product otherwise, and the §5.4 min-split
-// recurrence for custom estimators.
+// graphs, the plain Cartesian product otherwise.
 func cardOf(q core.Query, s bitset.Set) float64 {
 	if q.Graph != nil {
 		return q.Graph.JoinCardinality(s, q.Cards)
-	}
-	if q.Estimator != nil {
-		if s.IsSingleton() {
-			return q.Cards[s.Min()]
-		}
-		u := s.MinSet()
-		return q.Cards[u.Min()] * cardOf(q, s^u) * q.Estimator.StepFactor(s)
 	}
 	card := 1.0
 	s.ForEach(func(i int) { card *= q.Cards[i] })

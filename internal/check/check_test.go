@@ -402,7 +402,7 @@ func TestSelectivityOneNeutral(t *testing.T) {
 		calls++
 		edges := 0.0
 		if q.Graph != nil {
-			edges = float64(q.Graph.NumEdges())
+			edges = float64(len(q.Graph.Edges()))
 		}
 		return &core.Result{Cost: edges}, nil
 	}

@@ -23,9 +23,6 @@ const boundaryTol = 1e-6
 // internal/core: top-down memoization over the bushy space, or the Selinger
 // DP with Cartesian products allowed for the left-deep space.
 func OracleOptimal(q core.Query, m cost.Model, leftDeep bool) (float64, error) {
-	if q.Estimator != nil {
-		return 0, errors.New("check: oracles require a join graph or Cartesian query, not a custom estimator")
-	}
 	var r *baseline.Result
 	var err error
 	if leftDeep {
@@ -58,7 +55,7 @@ func OracleAgreement(q core.Query, m cost.Model, leftDeep bool, limit float64, r
 // oracle. Only available for the bushy space at n ≤
 // baseline.MaxBruteForceRelations; larger queries are vacuously accepted.
 func BruteForceAgreement(q core.Query, m cost.Model, limit float64, res *core.Result, optErr error) error {
-	if q.Estimator != nil || len(q.Cards) > baseline.MaxBruteForceRelations {
+	if len(q.Cards) > baseline.MaxBruteForceRelations {
 		return nil
 	}
 	r, err := baseline.BruteForce(q.Cards, q.Graph, m)
@@ -183,12 +180,8 @@ func (c Checker) ThresholdIdentical(q core.Query, opts core.Options, threshold f
 // bit-identical plans, costs and cardinalities. Whenever the rule seeds, the
 // seeded run must also finish in one pass: the greedy plan lies in the
 // searched space, so its cost never undercuts the optimum and the §6.4 retry
-// never fires. Estimator queries, which the ladder refuses, and options the
-// search itself rejects for q pass vacuously.
+// never fires. Options the search itself rejects for q pass vacuously.
 func (c Checker) SeededIdentical(q core.Query, opts core.Options) error {
-	if q.Estimator != nil {
-		return nil
-	}
 	enum, err := opts.EnumeratorFor(q)
 	if err != nil {
 		return nil

@@ -23,8 +23,8 @@ const maxBitmapDifferential = 8
 // the query under all three Enumerator settings and checks the full
 // agreement lattice:
 //
-//   - Ineligible queries (no graph, disconnected, estimator, left-deep,
-//     ablation flags): an explicit CCP request must fail with
+//   - Ineligible queries (no graph, disconnected, left-deep, ablation
+//     flags): an explicit CCP request must fail with
 //     ErrEnumeratorUnsupported, and Auto must be bit-identical to the blitz
 //     default — cost, cardinality, plan, and counters.
 //   - Eligible queries: Auto must be bit-identical to explicit CCP; CCP's
@@ -64,7 +64,7 @@ func (c Checker) EnumeratorAgree(q core.Query, opts core.Options) error {
 	cres, ccpErr := c.optimize(q, copts)
 
 	n := len(q.Cards)
-	eligible := q.Graph != nil && q.Estimator == nil && !opts.LeftDeep &&
+	eligible := q.Graph != nil && !opts.LeftDeep &&
 		!opts.DisableNestedIfs && !opts.DescendingSubsets &&
 		q.Graph.Connected(bitset.Full(n))
 	if !eligible {

@@ -35,19 +35,17 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 		return err
 	}
 
-	if q.Estimator == nil {
-		if err := OracleAgreement(q, m, leftDeep, limit, res, optErr); err != nil {
-			return fmt.Errorf("oracle: %w", err)
+	if err := OracleAgreement(q, m, leftDeep, limit, res, optErr); err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	if !leftDeep && n <= maxBruteForceFull {
+		if err := BruteForceAgreement(q, m, limit, res, optErr); err != nil {
+			return fmt.Errorf("brute force: %w", err)
 		}
-		if !leftDeep && n <= maxBruteForceFull {
-			if err := BruteForceAgreement(q, m, limit, res, optErr); err != nil {
-				return fmt.Errorf("brute force: %w", err)
-			}
-		}
-		if !leftDeep && q.Graph != nil {
-			if err := NoProductBounds(q, m, limit, got); err != nil {
-				return fmt.Errorf("no-product bounds: %w", err)
-			}
+	}
+	if !leftDeep && q.Graph != nil {
+		if err := NoProductBounds(q, m, limit, got); err != nil {
+			return fmt.Errorf("no-product bounds: %w", err)
 		}
 	}
 
@@ -80,8 +78,7 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 	if err := c.EnumeratorAgree(q, opts); err != nil {
 		return fmt.Errorf("enumerator agreement: %w", err)
 	}
-	if q.Estimator == nil && !leftDeep && q.Graph != nil &&
-		q.Graph.Connected(bitset.Full(n)) {
+	if !leftDeep && q.Graph != nil && q.Graph.Connected(bitset.Full(n)) {
 		// Re-run the identity checks under the CCP enumerator: its layered
 		// parallel fill, threshold passes and greedy seed must be as
 		// bit-stable as the blitz scan's.
@@ -102,8 +99,7 @@ func (c Checker) Full(q core.Query, m cost.Model, leftDeep bool, aux int64) erro
 	if err := c.PermutationInvariant(q, opts, rng.Perm(n)); err != nil {
 		return fmt.Errorf("permutation invariance: %w", err)
 	}
-	if q.Estimator == nil && !leftDeep && q.Graph != nil &&
-		q.Graph.Connected(bitset.Full(n)) {
+	if !leftDeep && q.Graph != nil && q.Graph.Connected(bitset.Full(n)) {
 		copts := opts
 		copts.Enumerator = core.EnumeratorCCP
 		if err := c.PermutationInvariant(q, copts, rng.Perm(n)); err != nil {

@@ -112,7 +112,7 @@ func (c Checker) ScalingMonotone(q core.Query, opts core.Options, lambda float64
 		scaled[i] = card * lambda
 	}
 	base, baseErr := c.optimize(q, opts)
-	big, bigErr := c.optimize(core.Query{Cards: scaled, Graph: q.Graph, Estimator: q.Estimator}, opts)
+	big, bigErr := c.optimize(core.Query{Cards: scaled, Graph: q.Graph}, opts)
 	baseCost, err := costOrNoPlan(base, baseErr)
 	if err != nil {
 		return err

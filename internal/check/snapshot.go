@@ -32,17 +32,14 @@ import (
 //     the damaged record and never reports an error — serving degrades to
 //     cold, it does not poison.
 //
-// Estimator queries are uncacheable and vacuously pass; so are queries where
-// the optimizer finds no plan under the overflow limit.
+// Queries where the optimizer finds no plan under the overflow limit pass
+// vacuously.
 func (c Checker) SnapshotFaithful(q core.Query, opts core.Options, perm []int) error {
 	if len(perm) != len(q.Cards) {
 		return errors.New("check: permutation length does not match relation count")
 	}
 	cn, err := canon.Canonicalize(q, canon.Options{})
 	if err != nil {
-		if errors.Is(err, canon.ErrEstimator) {
-			return nil // uncacheable by design
-		}
 		return fmt.Errorf("check: canonicalize: %w", err)
 	}
 	stored, storedErr := c.optimize(cn.Query(), opts)

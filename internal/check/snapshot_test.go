@@ -78,15 +78,6 @@ func TestSnapshotFaithfulCatchesBrokenOptimizer(t *testing.T) {
 	}
 }
 
-// Estimator queries are uncacheable and must pass vacuously.
-func TestSnapshotFaithfulSkipsEstimators(t *testing.T) {
-	var c check.Checker
-	q := core.Query{Cards: []float64{10, 20, 30}, Estimator: constStep{}}
-	if err := c.SnapshotFaithful(q, core.Options{}, []int{1, 2, 0}); err != nil {
-		t.Fatalf("estimator query should pass vacuously: %v", err)
-	}
-}
-
 // Error plumbing: bad arguments and failing optimizers must surface as
 // errors (or documented vacuous passes), never silent acceptance.
 func TestSnapshotFaithfulErrorPaths(t *testing.T) {

@@ -49,12 +49,11 @@ func WellFormed(n int, p *plan.Node) error {
 
 // CostConsistent re-derives every number in a Result from first principles
 // and compares: each plan node's cardinality against the reference estimate
-// (JoinCardinality on the induced subgraph, plain product, or the §5.4
-// estimator recurrence — never the optimizer's fan recurrence), each node's
-// cumulative cost against child costs + cost.Total under m, and the root
-// against Result.Cost and Result.Cardinality. Comparisons use relative
-// tolerance Tol: the reference multiplies the same factors in a different
-// order than the DP fill.
+// (JoinCardinality on the induced subgraph or the plain product — never the
+// optimizer's fan recurrence), each node's cumulative cost against child
+// costs + cost.Total under m, and the root against Result.Cost and
+// Result.Cardinality. Comparisons use relative tolerance Tol: the reference
+// multiplies the same factors in a different order than the DP fill.
 func CostConsistent(q core.Query, m cost.Model, res *core.Result) error {
 	if res == nil || res.Plan == nil {
 		return fmt.Errorf("check: nil result or plan")

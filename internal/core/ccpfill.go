@@ -42,8 +42,8 @@ const (
 	// EnumeratorCCP restricts the scan to connected-subgraph/complement
 	// pairs: exact over the Cartesian-product-free bushy space. Requires a
 	// connected join graph and the default bushy scan (no LeftDeep, no
-	// ablation flags, no custom estimator); Optimize rejects it otherwise
-	// with ErrEnumeratorUnsupported.
+	// ablation flags); Optimize rejects it otherwise with
+	// ErrEnumeratorUnsupported.
 	EnumeratorCCP
 	// EnumeratorAuto picks per query: CCP when the query is CCP-eligible,
 	// the blitz scan otherwise. Note the two strategies search different
@@ -82,8 +82,8 @@ func ParseEnumerator(name string) (Enumerator, error) {
 }
 
 // ErrEnumeratorUnsupported is returned when EnumeratorCCP is requested for a
-// query outside its space: no join graph, a disconnected graph, a custom
-// estimator, the left-deep restriction, or an ablation flag.
+// query outside its space: no join graph, a disconnected graph, the
+// left-deep restriction, or an ablation flag.
 var ErrEnumeratorUnsupported = errors.New(
 	"core: EnumeratorCCP requires a connected join graph and the default bushy scan")
 
@@ -91,7 +91,7 @@ var ErrEnumeratorUnsupported = errors.New(
 // options) pair: a connected join graph under the default bushy scan. The
 // ablation flags stay with the blitz scan they ablate.
 func (o Options) ccpEligible(q Query) bool {
-	return q.Graph != nil && q.Estimator == nil && !o.LeftDeep &&
+	return q.Graph != nil && !o.LeftDeep &&
 		!o.DisableNestedIfs && !o.DescendingSubsets &&
 		q.Graph.Connected(bitset.Full(len(q.Cards)))
 }

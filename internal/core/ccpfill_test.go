@@ -226,10 +226,6 @@ func TestCCPLoopItersMatchPairCount(t *testing.T) {
 	}
 }
 
-type unitEstimator struct{}
-
-func (unitEstimator) StepFactor(bitset.Set) float64 { return 1 }
-
 // TestCCPUnsupported pins every ineligibility: an explicit CCP request fails
 // with ErrEnumeratorUnsupported, while Auto silently falls back to a result
 // bit-identical to the blitz default.
@@ -244,7 +240,6 @@ func TestCCPUnsupported(t *testing.T) {
 	}{
 		{"no graph", Query{Cards: cards}, Options{}},
 		{"disconnected", Query{Cards: cards, Graph: disconnected}, Options{}},
-		{"estimator", Query{Cards: cards, Estimator: unitEstimator{}}, Options{}},
 		{"left-deep", Query{Cards: cards, Graph: connected}, Options{LeftDeep: true}},
 		{"no nested ifs", Query{Cards: cards, Graph: connected}, Options{DisableNestedIfs: true}},
 		{"descending", Query{Cards: cards, Graph: connected}, Options{DescendingSubsets: true}},

@@ -30,26 +30,6 @@ type Query struct {
 	// Graph carries the join predicates and selectivities; nil for a pure
 	// Cartesian product.
 	Graph *joingraph.Graph
-	// Estimator, when non-nil, replaces the binary-graph fan recurrence with
-	// a custom per-subset cardinality step (§5.4's "more sophisticated
-	// cardinality-estimation schemes": join hypergraphs, implied-predicate
-	// equivalence classes, …). It is mutually exclusive with Graph. The
-	// estimator is consulted exactly 2^n − n − 1 times — once per
-	// non-singleton subset — preserving the O(2^n) property-computation
-	// budget; find_best_split is untouched, as §5.4 requires.
-	Estimator CardEstimator
-}
-
-// CardEstimator supplies the multiplicative factor of the §5.2 cardinality
-// recurrence for arbitrary predicate structures:
-//
-//	card(S) = card(U) · card(V) · StepFactor(S)
-//
-// where U = {min S} and V = S − U. For a binary join graph the factor is
-// Π_fan(S); implementations generalize it to hyperedges or column
-// equivalence classes. StepFactor must be deterministic and nonnegative.
-type CardEstimator interface {
-	StepFactor(s bitset.Set) float64
 }
 
 // NumRelations returns the number of base relations.
@@ -71,9 +51,6 @@ func (q Query) Validate() error {
 	}
 	if q.Graph != nil && q.Graph.N() != n {
 		return fmt.Errorf("core: join graph covers %d relations, query has %d", q.Graph.N(), n)
-	}
-	if q.Graph != nil && q.Estimator != nil {
-		return errors.New("core: Graph and Estimator are mutually exclusive")
 	}
 	return nil
 }

@@ -121,30 +121,6 @@ func TestParallelMatchesSerialModes(t *testing.T) {
 	}
 }
 
-// TestParallelEstimator checks that the hypergraph estimator path (serial
-// property fill + parallel cost fill) matches the serial run bit for bit.
-func TestParallelEstimator(t *testing.T) {
-	const n = 10
-	cards := joingraph.CardinalityLadder(n, 100, 0.5)
-	h := joingraph.NewHypergraph(n)
-	h.MustAddEdge(bitset.Of(0, 1, 2), 1e-3)
-	h.MustAddEdge(bitset.Of(2, 5), 1e-2)
-	h.MustAddEdge(bitset.Of(3, 7, 9), 1e-4)
-	q := Query{Cards: cards, Estimator: h}
-	serial, err := Optimize(q, Options{Model: cost.SortMerge{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Optimize(q, Options{Model: cost.SortMerge{}, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Cost != serial.Cost || !samePlan(par.Plan, serial.Plan) ||
-		!reflect.DeepEqual(par.Counters, serial.Counters) {
-		t.Fatal("estimator path: parallel result differs from serial")
-	}
-}
-
 // TestParallelFillRace exercises the 8-worker fill on a clique for the race
 // detector (run via `go test -race -run Parallel ./internal/core/...`, the
 // pre-merge gate). The assertions are secondary; the point is the schedule

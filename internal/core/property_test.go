@@ -26,10 +26,10 @@ func queryFromSeed(seed int64) Query {
 func TestPropertyCostMonotoneInSelectivity(t *testing.T) {
 	f := func(seed int64, edgePick uint8) bool {
 		q := queryFromSeed(seed)
-		if q.Graph.NumEdges() == 0 {
+		edges := q.Graph.Edges()
+		if len(edges) == 0 {
 			return true
 		}
-		edges := q.Graph.Edges()
 		e := edges[int(edgePick)%len(edges)]
 		weaker := joingraph.New(q.Graph.N())
 		for _, o := range edges {

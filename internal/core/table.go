@@ -190,9 +190,7 @@ func (t *Table) BestLHS(s bitset.Set) bitset.Set { return bitset.Set(t.slot[s].B
 // it runs layer-parallel: every property of a popcount-k set depends only on
 // popcount-(k−1) sets (u = {min s}, v = s − u, and the two fan halves u|w,
 // u|z), so rank layers fill concurrently with a barrier between layers,
-// producing bit-identical columns. Custom estimators are exempt: they are
-// not required to be safe for concurrent StepFactor calls (Schema's
-// union-find compresses paths), so the estimator path always runs serially.
+// producing bit-identical columns.
 //
 // A halted budget stops the fill at the next rank layer, worker chunk, or
 // serial 1024-subset stride and returns a *BudgetError for the properties
@@ -214,7 +212,7 @@ func (t *Table) initProperties(q Query, workers int, bg *budget) error {
 			t.memo[s] = t.memoized.Memo(q.Cards[i])
 		}
 	}
-	if workers > 1 && q.Estimator == nil {
+	if workers > 1 {
 		for k := 2; k <= t.n; k++ {
 			faultinject.Inject(faultinject.CorePropsLayer)
 			if bg.halted() {
@@ -257,15 +255,11 @@ func (t *Table) initProperties(q Query, workers int, bg *budget) error {
 }
 
 // initProperty fills the property columns of one non-singleton set via the
-// §5.2/§5.4 recurrences (or the pluggable estimator).
+// §5.2/§5.4 recurrences.
 func (t *Table) initProperty(q Query, s bitset.Set) {
 	u := s.MinSet()
 	v := s ^ u
-	if q.Estimator != nil {
-		// Generalized §5.2 recurrence via the pluggable estimator
-		// (hypergraphs, equivalence classes, …).
-		t.card[s] = t.card[u] * t.card[v] * q.Estimator.StepFactor(s)
-	} else if t.hasFan {
+	if t.hasFan {
 		if v.IsSingleton() {
 			// Doubleton: Π_fan is the selectivity of the connecting
 			// predicate, or 1 when there is none (§5.4).

@@ -117,9 +117,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// NumEdges returns the number of predicates.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Neighbors returns the set of relations sharing a predicate with i.
 func (g *Graph) Neighbors(i int) bitset.Set { return g.adj[i] }
 

@@ -255,8 +255,8 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != 4 || back.NumEdges() != 4 {
-		t.Fatalf("round trip: n=%d edges=%d", back.N(), back.NumEdges())
+	if back.N() != 4 || len(back.Edges()) != 4 {
+		t.Fatalf("round trip: n=%d edges=%d", back.N(), len(back.Edges()))
 	}
 	if back.Selectivity(0, 3) != 0.4 {
 		t.Errorf("round trip selectivity = %v", back.Selectivity(0, 3))
@@ -518,8 +518,8 @@ func TestBuildSelectivitiesInRange(t *testing.T) {
 
 func TestBuildEdgeless(t *testing.T) {
 	g := Build(nil, []float64{10, 20})
-	if g.NumEdges() != 0 || g.N() != 2 {
-		t.Errorf("edgeless Build wrong: n=%d edges=%d", g.N(), g.NumEdges())
+	if len(g.Edges()) != 0 || g.N() != 2 {
+		t.Errorf("edgeless Build wrong: n=%d edges=%d", g.N(), len(g.Edges()))
 	}
 }
 

@@ -187,8 +187,8 @@ func (n *Node) AttachAlgorithms(m cost.Model) {
 // Expression renders the tree as a parenthesized join expression using the
 // given relation names, e.g. "(A ⨯ D) ⨯ (B ⨯ C)". Any leaf whose name is
 // missing — nil or too-short name slice, empty string, out-of-range relation
-// index — renders as R<i>, so results from name-less entry points (e.g. the
-// estimator path) always produce a readable expression.
+// index — renders as R<i>, so a plan rendered without a full name slice
+// still produces a readable expression.
 func (n *Node) Expression(names []string) string {
 	var b strings.Builder
 	n.expr(&b, names)

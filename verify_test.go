@@ -38,24 +38,6 @@ func TestVerifyOnAllEntryPoints(t *testing.T) {
 			t.Errorf("Optimize(%d opts): Verify: %v", len(opts), err)
 		}
 	}
-
-	h := NewHypergraph(3)
-	h.MustAddEdge(Rels(0, 1, 2), 1e-4)
-	resEst, err := OptimizeWithEstimator([]float64{100, 200, 300}, h, WithCostModel("hash"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resEst.Verify(); err != nil {
-		t.Errorf("OptimizeWithEstimator: Verify: %v", err)
-	}
-
-	resLarge, err := q.OptimizeLarge(2, WithCostModel("sortmerge"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resLarge.Verify(); err != nil {
-		t.Errorf("OptimizeLarge: Verify: %v", err)
-	}
 }
 
 func TestVerifyCatchesTampering(t *testing.T) {

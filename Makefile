@@ -71,8 +71,11 @@ stress:
 
 # Run every native fuzz target for FUZZTIME each, starting from the
 # checked-in corpora under internal/check/testdata/fuzz/,
-# internal/engine/testdata/fuzz/ and internal/plancache/testdata/fuzz/. Go
-# allows only one -fuzz pattern per invocation, hence one run per target.
+# internal/engine/testdata/fuzz/, internal/plancache/testdata/fuzz/ and
+# internal/server/testdata/fuzz/. FuzzDecodeRequest is blitzd's request
+# decoder against encoding/json: every body the fast path accepts must decode
+# bit-identically under json.Unmarshal. Go allows only one -fuzz pattern per
+# invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
 	$(GO) test -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
@@ -81,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzExecVectorized$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/check/
 	$(GO) test -fuzz='^FuzzSnapshotLoad$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/plancache/
 	$(GO) test -fuzz='^FuzzSynthesizeDraw$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine/
+	$(GO) test -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/server/
 
 # Enforce the coverage floor on the optimizer core and the invariant
 # harness. A drop below COVER_MIN fails the build.

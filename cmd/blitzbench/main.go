@@ -21,7 +21,8 @@
 //
 // Flags:
 //
-//	-n int          relation count for the sweeps (default 15, the paper's)
+//	-n int          relation count for the sweeps (default 15, the paper's; fig4–6, counts,
+//	                joinvscp, ablate and baselines need at least 9)
 //	-budget dur     minimum wall time per measured point (default 200ms)
 //	-maxn int       top n for fig2 and the parallel experiment (default 15)
 //	-parallel int   optimizer worker count for every experiment (0 = serial)
@@ -102,6 +103,15 @@ func runMain(args []string, out, errOut io.Writer) int {
 	if *exp == "" {
 		fs.Usage()
 		return exitUsage
+	}
+	// -n 0 (or below) selects the default; a small positive n would panic
+	// deep inside an experiment that builds the cycle+3 topology.
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if min := bench.MinN(name); *n > 0 && *n < min {
+			fmt.Fprintf(errOut, "blitzbench: -exp %s needs -n ≥ %d, got %d\n", name, min, *n)
+			return exitUsage
+		}
 	}
 	var memBudget uint64
 	if *memBudgetStr != "" {

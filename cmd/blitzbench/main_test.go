@@ -32,6 +32,20 @@ func TestRunMainExitCodes(t *testing.T) {
 	}
 }
 
+// An -n below an experiment's lower bound is a usage error naming the
+// bound, reported before any experiment runs, not a panic inside one.
+func TestSmallNIsUsageError(t *testing.T) {
+	for _, exp := range []string{"fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "all", "table1, counts"} {
+		var out, errOut bytes.Buffer
+		if got := runMain([]string{"-exp", exp, "-n", "8", "-quiet"}, &out, &errOut); got != exitUsage {
+			t.Fatalf("-exp %s -n 8: exit %d, want %d\nstderr: %s", exp, got, exitUsage, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "needs -n ≥ 9") || out.Len() != 0 {
+			t.Errorf("-exp %s -n 8: stdout %q, stderr %q; want only a usage error naming 9", exp, out.String(), errOut.String())
+		}
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if got := runMain([]string{"-version"}, &out, &errOut); got != exitOK {

@@ -50,7 +50,9 @@ func GreedyLeftDeep(cards []float64, g *joingraph.Graph, m cost.Model) (*Result,
 			}
 			outCard := tree.Card * cards[i] * span
 			outCost := cost.Total(m, outCard, tree.Card, cards[i])
-			if outCard < bestCard || (outCard == bestCard && outCost < bestCost) {
+			// best < 0 takes the first candidate when none compares below
+			// +Inf (every product overflows), so the plan is still built.
+			if best < 0 || outCard < bestCard || (outCard == bestCard && outCost < bestCost) {
 				best, bestCard, bestCost = i, outCard, outCost
 			}
 		}

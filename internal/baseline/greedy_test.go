@@ -119,3 +119,29 @@ func TestGreedyDegenerate(t *testing.T) {
 		t.Fatal("empty query accepted")
 	}
 }
+
+// TestGreedyEveryCandidateOverflows: when every next join's cardinality is
+// +Inf, no candidate compares below the start value; greedy must still build
+// a left-deep plan over every relation (the ladder's floor and seed) instead
+// of indexing relation −1.
+func TestGreedyEveryCandidateOverflows(t *testing.T) {
+	for _, n := range []int{2, 3, 5} {
+		cards := make([]float64, n)
+		for i := range cards {
+			cards[i] = 1e300
+		}
+		res, err := GreedyLeftDeep(cards, nil, cost.Naive{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Set != bitset.Full(n) || !res.Plan.IsLeftDeep() {
+			t.Fatalf("n=%d: plan %v covers %v, want a left-deep plan over all", n, res.Plan, res.Plan.Set)
+		}
+		if !math.IsInf(res.Cost, 1) {
+			t.Fatalf("n=%d: cost = %v, want +Inf", n, res.Cost)
+		}
+		if _, threshold, err := Seed(cards, nil, cost.Naive{}, false); err != nil || !math.IsInf(threshold, 1) {
+			t.Fatalf("n=%d: Seed threshold %v, err %v", n, threshold, err)
+		}
+	}
+}

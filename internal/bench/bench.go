@@ -93,6 +93,18 @@ func Names() []string {
 	return []string{"table1", "fig2", "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "hybrid", "parallel", "enumerators", "chaos", "exec", "cluster"}
 }
 
+// MinN returns the smallest Config.N the named experiment accepts, or 0 when
+// any N will do. The §6 sweeps and the experiments built on them include the
+// paper's cycle+3 topology, which needs at least 9 relations
+// (joingraph.AppendixCyclePlus3Edges).
+func MinN(name string) int {
+	switch name {
+	case "fig4", "fig5", "fig6", "counts", "joinvscp", "ablate", "baselines", "all":
+		return 9
+	}
+	return 0
+}
+
 // Run executes the named experiment ("all" runs every one) and, when csvPath
 // is nonempty, appends raw measurements to that CSV file.
 func Run(name string, cfg Config, csvPath string) error {

@@ -125,8 +125,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, _ time.Time
 	}
 	wg.Wait()
 
-	s.met.requests(http.StatusOK).Inc()
-	s.writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	s.met.requests(s.writeJSON(w, http.StatusOK, BatchResponse{Results: results})).Inc()
 }
 
 // serveBatchLocal runs a group of queries through the local spine

@@ -133,8 +133,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, start tim
 		resp.Plan = er.Plan
 		resp.ExecutedPlan = er.ExecutedPlan
 	}
-	s.met.requests(http.StatusOK).Inc()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.met.requests(s.writeJSON(w, http.StatusOK, resp)).Inc()
 }
 
 // decodeExecute mirrors decodeRequest for the execute body: the same body

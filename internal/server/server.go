@@ -29,6 +29,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -281,10 +282,22 @@ type errorResponse struct {
 	Kind  string `json:"kind,omitempty"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON encodes v and only then writes the status and body, so a value
+// encoding/json refuses (a non-finite float) is answered 500 with a JSON
+// error instead of a status already sent over an empty body. It returns the
+// status written.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) int {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: fmt.Sprintf("encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	return code
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -292,11 +305,10 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 }
 
 func (s *Server) failKind(w http.ResponseWriter, code int, kind, format string, args ...any) {
-	s.met.requests(code).Inc()
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	s.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})
+	s.met.requests(s.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})).Inc()
 }
 
 func (s *Server) failServe(w http.ResponseWriter, e *serveErr) {
@@ -373,8 +385,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, start ti
 	if resp.Fingerprint != "" {
 		w.Header().Set(HeaderFingerprint, resp.Fingerprint)
 	}
-	s.met.requests(http.StatusOK).Inc()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.met.requests(s.writeJSON(w, http.StatusOK, resp)).Inc()
 }
 
 // call is one optimize request resolved for serving: the facade query, the
@@ -570,16 +581,42 @@ func (s *Server) decodeRequest(r *http.Request) (*OptimizeRequest, int, error) {
 	return &req, 0, nil
 }
 
+// bufPool recycles the buffers request bodies are read into and responses
+// are encoded into. Nothing decoded aliases a buffer, and putBuffer leaves a
+// buffer grown past maxPooledBuffer to the collector rather than pinning it.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuffer = 64 << 10
+
+func getBuffer() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		bufPool.Put(buf)
+	}
+}
+
 // readJSON reads a body of at most DefaultMaxBody bytes (413 beyond) and
-// decodes it into v (400 when it is not valid JSON).
+// decodes it into v (400 when it is not valid JSON). Plain optimize and
+// execute bodies take decodePlain; every other body, and every other target,
+// goes to encoding/json.
 func readJSON(r *http.Request, v any) (int, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxBody+1))
-	if err != nil {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, DefaultMaxBody+1)); err != nil {
 		return http.StatusBadRequest, err
 	}
+	body := buf.Bytes()
 	if len(body) > DefaultMaxBody {
 		return http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", DefaultMaxBody)
+	}
+	if decodePlain(body, v) {
+		return 0, nil
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -249,6 +250,68 @@ func TestNoPlan(t *testing.T) {
 	code, b := postOptimize(t, ts.URL, body)
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422: %s", code, b)
+	}
+}
+
+// overflowBody returns n relations of cardinality 1e300 and no joins: every
+// product overflows, so the greedy seed's candidates all compare equal to
+// +Inf.
+func overflowBody(n int, extra string) string {
+	var b strings.Builder
+	b.WriteString(`{"relations":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"R%d","cardinality":1e300}`, i)
+	}
+	b.WriteString("]" + extra + "}")
+	return b.String()
+}
+
+// TestOverflowingSeedIs422: a query whose every plan overflows is answered
+// 422 with a JSON error every time. The greedy seed of the ladder's first
+// rung must not panic on it (which would answer 500 and, after
+// DefaultQuarantineThreshold requests, quarantine a valid shape), and a
+// degraded rung's +Inf cost must not reach the encoder (which refuses it).
+func TestOverflowingSeedIs422(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	bodies := []string{overflowBody(2, ""), overflowBody(3, "")}
+	for i := 0; i < blitzsplit.DefaultQuarantineThreshold+1; i++ {
+		bodies = append(bodies, bodies[0])
+	}
+	for _, n := range []int{20, 24, 30} {
+		bodies = append(bodies, overflowBody(n, `,"timeout_ms":1`))
+	}
+	for _, body := range bodies {
+		code, b := postOptimize(t, ts.URL, body)
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("status = %d, want 422: %s\nbody: %.80s…", code, b, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
+			t.Fatalf("error body not JSON with error field: %q", b)
+		}
+	}
+	if got := s.met.panics.Value(); got != 0 {
+		t.Errorf("blitzd_panics_total = %d, want 0", got)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses is answered 500
+// with a JSON error body, never a 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	s := New(Config{})
+	rec := httptest.NewRecorder()
+	if code := s.writeJSON(rec, http.StatusOK, OptimizeResponse{Cost: math.Inf(1)}); code != http.StatusInternalServerError {
+		t.Errorf("writeJSON returned %d, want 500", code)
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("body %q is not a JSON encode error", rec.Body.Bytes())
 	}
 }
 

@@ -3,12 +3,14 @@ package blitzsplit
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"blitzsplit/internal/baseline"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/hybrid"
+	"blitzsplit/internal/plan"
 )
 
 // rungSlice gives one ladder rung half the context's remaining deadline, so
@@ -114,7 +116,7 @@ func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*out
 		})
 		cancel()
 		if herr == nil {
-			return &outcome{plan: hres.Plan, cost: hres.Cost, card: hres.Plan.Card, mode: ModeIDP}, nil
+			return degraded(hres.Plan, hres.Cost, ModeIDP)
 		}
 		if !errors.Is(herr, context.Canceled) && !errors.Is(herr, context.DeadlineExceeded) {
 			return nil, herr
@@ -124,7 +126,18 @@ func (e *Engine) runLadder(cq core.Query, cfg config, ctx context.Context) (*out
 		}
 	}
 
-	// Rung 3: the greedy floor — O(n²), already computed, cannot fail.
+	// Rung 3: the greedy floor — O(n²), already computed; it fails only when
+	// its cost overflowed.
 	faultinject.Inject(faultinject.FacadeRung)
-	return &outcome{plan: greedy.Plan, cost: greedy.Cost, card: greedy.Plan.Card, mode: ModeGreedy}, nil
+	return degraded(greedy.Plan, greedy.Cost, ModeGreedy)
+}
+
+// degraded is a lower rung's answer. A plan whose cost overflowed to +Inf
+// (or NaN) is no answer: rung 1 reports core.ErrNoPlan for the same
+// condition, and a non-finite cost cannot be encoded as JSON.
+func degraded(p *plan.Node, cost float64, mode string) (*outcome, error) {
+	if math.IsInf(cost, 0) || math.IsNaN(cost) {
+		return nil, core.ErrNoPlan
+	}
+	return &outcome{plan: p, cost: cost, card: p.Card, mode: mode}, nil
 }

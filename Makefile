@@ -60,7 +60,7 @@ stress:
 		-run 'FuzzEnumerators|CCP|Seeded' \
 		./internal/check/ ./internal/core/
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute|Fingerprint|Quantiz|LargeChainBoundedAlloc' \
+		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute|Fingerprint|LargeChainBoundedAlloc' \
 		./internal/server/ ./internal/telemetry/ ./internal/snapshot/
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'Cluster|Ring|Forward|Retry|Backoff|Pipe' \

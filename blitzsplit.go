@@ -41,7 +41,6 @@ package blitzsplit
 
 import (
 	"blitzsplit/internal/core"
-	"blitzsplit/internal/cost"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/exec"
 	"blitzsplit/internal/plan"
@@ -56,9 +55,6 @@ type Plan = plan.Node
 // §3.3/§6.2 operation counts (split-loop iterations, κ′/κ″ evaluations,
 // threshold skips, passes).
 type Counters = core.Counters
-
-// CostModel is a decomposed join cost function κ = κ′ + κ″ (§3.2).
-type CostModel = cost.Model
 
 // Enumerator selects the exact fill strategy (see WithEnumerator).
 type Enumerator = core.Enumerator

@@ -19,7 +19,6 @@
 //	-mem-budget b     per-request DP-table byte budget, e.g. 64MiB (0 = arena budget)
 //	-cache-bytes b    plan-cache byte budget, e.g. 64MiB (0 = 64MiB default)
 //	-arena-bytes b    DP-table arena byte budget (0 = 256MiB default)
-//	-quantum q        selectivity quantum for cache sharing (0 = exact)
 //	-drain-timeout d  grace period for in-flight requests on shutdown (10s)
 //	-snapshot p       plan-cache snapshot file for warm restarts (empty = off)
 //	-snapshot-interval d  periodic snapshot cadence (30s)
@@ -134,7 +133,6 @@ func runMain(args []string, out, errOut io.Writer, sigs <-chan os.Signal) int {
 	memBudget := fs.String("mem-budget", "", "per-request DP-table byte budget, e.g. 64MiB (empty = arena budget)")
 	cacheBytes := fs.String("cache-bytes", "", "plan-cache byte budget, e.g. 64MiB (empty = 64MiB default)")
 	arenaBytes := fs.String("arena-bytes", "", "DP-table arena byte budget (empty = 256MiB default)")
-	quantum := fs.Float64("quantum", 0, "selectivity quantum for cache sharing (0 = exact, bit-identical hits)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	snapshotPath := fs.String("snapshot", "", "plan-cache snapshot file for warm restarts (empty = off)")
 	snapshotInterval := fs.Duration("snapshot-interval", 0, "periodic snapshot cadence (0 = 30s)")
@@ -195,7 +193,6 @@ func runMain(args []string, out, errOut io.Writer, sigs <-chan os.Signal) int {
 		MaxRelations:     *maxN,
 		MaxSynthRows:     *maxSynthRows,
 		Enumerator:       enum,
-		EngineOptions:    blitzsplit.EngineOptions{SelectivityQuantum: *quantum},
 		SnapshotPath:     *snapshotPath,
 		SnapshotInterval: *snapshotInterval,
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"blitzsplit/internal/catalog"
 	"blitzsplit/internal/spec"
 )
 
@@ -18,7 +17,7 @@ func writeChainSpec(t *testing.T, n int, card float64) string {
 	t.Helper()
 	f := spec.File{}
 	for i := 0; i < n; i++ {
-		f.Relations = append(f.Relations, catalog.Relation{
+		f.Relations = append(f.Relations, spec.Relation{
 			Name: fmt.Sprintf("T%d", i), Cardinality: card,
 		})
 	}
@@ -69,7 +68,7 @@ func TestExitCodes(t *testing.T) {
 // TestNoPlanExitCode: cardinalities whose product overflows the
 // single-precision cost limit leave no representable plan — exit 4.
 func TestNoPlanExitCode(t *testing.T) {
-	f := spec.File{Relations: []catalog.Relation{
+	f := spec.File{Relations: []spec.Relation{
 		{Name: "A", Cardinality: 1e30}, {Name: "B", Cardinality: 1e30},
 	}}
 	data, err := json.Marshal(f)

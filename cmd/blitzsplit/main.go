@@ -18,8 +18,6 @@
 //	-timeout d       wall-time budget (e.g. 50ms); exceeding it exits 3
 //	-mem-budget b    DP-table memory budget (e.g. 64MiB); exceeding it exits 3
 //	-ladder          degrade to cheaper optimizers instead of failing on budget
-//	-cache           route optimization through a caching Engine
-//	-cache-bytes b   plan-cache byte budget (e.g. 4MiB); implies -cache
 //	-algorithms      annotate joins with the winning algorithm (min models)
 //	-json            emit the plan as JSON instead of the ASCII tree
 //	-counters        print the instrumentation counters
@@ -101,8 +99,6 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "wall-time budget, e.g. 50ms (0 = none)")
 	memBudget := fs.String("mem-budget", "", "DP-table memory budget, e.g. 64MiB (empty = none)")
 	ladder := fs.Bool("ladder", false, "degrade to cheaper optimizers instead of failing on budget")
-	cache := fs.Bool("cache", false, "route optimization through a caching Engine (plan cache + table arena)")
-	cacheBytes := fs.String("cache-bytes", "", "plan-cache byte budget, e.g. 4MiB (implies -cache; empty = default)")
 	algorithms := fs.Bool("algorithms", false, "annotate joins with the winning physical algorithm")
 	asJSON := fs.Bool("json", false, "emit the plan as JSON")
 	counters := fs.Bool("counters", false, "print instrumentation counters")
@@ -196,23 +192,8 @@ func run(args []string, out io.Writer) error {
 	if *algorithms {
 		options = append(options, blitzsplit.WithAlgorithms())
 	}
-	// A one-shot CLI run cannot re-hit its own cache, but -cache exercises
-	// the exact serving path a long-lived embedding uses: canonicalization,
-	// fingerprint lookup, the arena-pooled DP fill on miss.
-	eng := blitzsplit.Default()
-	if *cache || *cacheBytes != "" {
-		var eo blitzsplit.EngineOptions
-		if *cacheBytes != "" {
-			b, err := units.ParseBytes(*cacheBytes)
-			if err != nil {
-				return fmt.Errorf("%w: -cache-bytes: %v", errUsage, err)
-			}
-			eo.CacheBytes = b
-		}
-		eng = blitzsplit.New(eo)
-	}
 	start := time.Now()
-	res, err := eng.Optimize(nil, q, options...)
+	res, err := q.Optimize(options...)
 	if err != nil {
 		return err
 	}
@@ -239,12 +220,6 @@ func run(args []string, out io.Writer) error {
 		c := res.Counters
 		fmt.Fprintf(out, "\ncounters: subsets=%d loop_iters=%d kpp_evals=%d kp_evals=%d cond_hits=%d threshold_skips=%d passes=%d\n",
 			c.SubsetsVisited, c.LoopIters, c.KppEvals, c.KpEvals, c.CondHits, c.ThresholdSkips, c.Passes)
-		if *cache || *cacheBytes != "" {
-			st := eng.Stats()
-			fmt.Fprintf(out, "engine: cache hits=%d misses=%d entries=%d bytes=%d; arena reuses=%d pooled=%dB\n",
-				st.Cache.Hits, st.Cache.Misses, st.Cache.Entries, st.Cache.Bytes,
-				st.Arena.Reuses, st.Arena.PooledBytes)
-		}
 	}
 	return nil
 }

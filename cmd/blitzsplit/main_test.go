@@ -89,21 +89,6 @@ func TestLeftDeepFlag(t *testing.T) {
 	}
 }
 
-func TestCacheFlags(t *testing.T) {
-	path := writeExampleSpec(t)
-	var out strings.Builder
-	if err := run([]string{"-cache", "-cache-bytes", "1MiB", "-counters", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	// A one-shot run is a single miss that populates the cache.
-	if !strings.Contains(out.String(), "engine: cache hits=0 misses=1 entries=1") {
-		t.Errorf("missing engine stats line:\n%s", out.String())
-	}
-	if err := run([]string{"-cache-bytes", "bogus", path}, &out); !errors.Is(err, errUsage) {
-		t.Errorf("bogus -cache-bytes: got %v, want usage error", err)
-	}
-}
-
 func TestErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{}, &out); err == nil {

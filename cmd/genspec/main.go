@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"blitzsplit/internal/catalog"
 	"blitzsplit/internal/joingraph"
 	"blitzsplit/internal/spec"
 )
@@ -75,7 +74,7 @@ func run(args []string, out io.Writer) error {
 
 	f := spec.File{}
 	for i, c := range cards {
-		f.Relations = append(f.Relations, catalog.Relation{
+		f.Relations = append(f.Relations, spec.Relation{
 			Name:        fmt.Sprintf("R%d", i),
 			Cardinality: c,
 		})

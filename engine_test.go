@@ -2,6 +2,8 @@ package blitzsplit
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -409,42 +411,6 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// Under a selectivity quantum, noisy selectivity variants of one shape share
-// a cache entry, and the served numbers are re-anchored on the caller's
-// actual query so Verify still passes.
-func TestEngineQuantizedServing(t *testing.T) {
-	eng := New(EngineOptions{SelectivityQuantum: 0.5})
-	base := func(sel float64) *Query {
-		q := NewQuery()
-		q.MustAddRelation("a", 1000)
-		q.MustAddRelation("b", 50000)
-		q.MustAddRelation("c", 700)
-		q.MustJoin("a", "b", sel)
-		q.MustJoin("b", "c", 0.001)
-		return q
-	}
-	cold, err := eng.Optimize(nil, base(0.0100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Verify(); err != nil {
-		t.Fatalf("quantized cold run: %v", err)
-	}
-	warm, err := eng.Optimize(nil, base(0.0103)) // same log2 bucket
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Cached {
-		t.Fatal("noise-level selectivity change should hit under quantization")
-	}
-	if err := warm.Verify(); err != nil {
-		t.Fatalf("re-anchored hit fails verification: %v", err)
-	}
-	if warm.Cost == cold.Cost {
-		t.Fatal("re-anchoring should reflect the caller's actual selectivity")
-	}
-}
-
 // WithMemoryBudget refuses a cold run whose table exceeds the budget, but a
 // cache hit allocates no table and is served anyway.
 func TestEngineCacheHitExemptFromMemoryBudget(t *testing.T) {
@@ -688,5 +654,94 @@ func TestEngineCanonicalizerStress(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Cache.Misses != 1 {
 		t.Errorf("expected exactly one miss (the cold fill), got %+v", st.Cache)
+	}
+}
+
+// goldenShape is one query of TestEngineCacheKeyGolden: relations r0…rn−1
+// with the given cardinalities, joined by (a, b, selectivity) triples.
+type goldenShape struct {
+	name      string
+	cards     []float64
+	joins     [][3]float64
+	connected bool
+}
+
+// goldenShapes returns the n-relation queries whose plan keys the golden
+// test pins: every topology class the canonicalizer and the key distinguish,
+// including tied cardinalities (individualization) and a pair joined twice
+// (selectivity folding).
+func goldenShapes(n int) []goldenShape {
+	distinct := make([]float64, n)
+	for i := range distinct {
+		distinct[i] = float64(100*(i+1)*(i+3) + 7*i)
+	}
+	equal := make([]float64, n)
+	for i := range equal {
+		equal[i] = 5000
+	}
+	sel := func(i int) float64 { return 1 / float64(50*(i+2)) }
+	var chain, star, clique, split, twice [][3]float64
+	for i := 1; i < n; i++ {
+		chain = append(chain, [3]float64{float64(i - 1), float64(i), sel(i)})
+		star = append(star, [3]float64{0, float64(i), sel(i)})
+		for j := 0; j < i; j++ {
+			clique = append(clique, [3]float64{float64(j), float64(i), 0.01})
+		}
+		if i != n/2 {
+			split = append(split, [3]float64{float64(i - 1), float64(i), sel(i)})
+		}
+	}
+	twice = append(append(twice, chain...), [3]float64{1, 0, 0.3})
+	return []goldenShape{
+		{"chain", distinct, chain, true},
+		{"star", distinct, star, true},
+		{"clique", equal, clique, true},
+		{"components", distinct, split, false},
+		{"product", distinct, nil, false},
+		{"twice", distinct, twice, true},
+	}
+}
+
+// The plan-cache key and the canonical fingerprint are a persistent format:
+// snapshots written by one build are restored by the next, and cluster peers
+// of different builds route and fill on them. The digest below covers their
+// bytes for a fixed set of queries under every option that enters the key. A
+// change that needs a new digest turns every existing snapshot cold and
+// splits a mixed-version cluster.
+func TestEngineCacheKeyGolden(t *testing.T) {
+	optionSets := []struct {
+		name string
+		opts []Option
+		ccp  bool
+	}{
+		{"default", nil, false},
+		{"sortmerge", []Option{WithCostModel("sortmerge")}, false},
+		{"dnl", []Option{WithCostModel("dnl")}, false},
+		{"hash", []Option{WithCostModel("hash")}, false},
+		{"min", []Option{WithCostModel("min(sortmerge,dnl)")}, false},
+		{"leftdeep", []Option{WithLeftDeep()}, false},
+		{"auto", []Option{WithEnumerator(EnumeratorAuto)}, false},
+		{"ccp", []Option{WithEnumerator(EnumeratorCCP)}, true},
+	}
+	eng := New(EngineOptions{})
+	h := sha256.New()
+	for _, n := range []int{3, 8, 12} {
+		for _, s := range goldenShapes(n) {
+			q := permutedQuery(t, s.cards, s.joins, identityPerm(n))
+			for _, o := range optionSets {
+				if o.ccp && !s.connected {
+					continue
+				}
+				key, fp, err := eng.PlanKey(q, o.opts...)
+				if err != nil {
+					t.Fatalf("%s n=%d %s: %v", s.name, n, o.name, err)
+				}
+				fmt.Fprintf(h, "%s/%d/%s\n%x\n%x\n", s.name, n, o.name, key, fp)
+			}
+		}
+	}
+	const want = "184ea2898bafa78d85a557e7c749b8a9bad8abb7b1fd2a7e0a79a47e22e6d878"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("plan-key digest = %s, want %s", got, want)
 	}
 }

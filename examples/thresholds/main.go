@@ -41,7 +41,7 @@ func main() {
 		generous.Cost, genTime, generous.Counters.LoopIters, generous.Counters.KppEvals,
 		generous.Counters.Passes, generous.Counters.ThresholdSkips)
 
-	tight, tightTime := measure(core.Options{Model: model, CostThreshold: base.Cost / 1e6, ThresholdGrowth: 100})
+	tight, tightTime := measure(core.Options{Model: model, CostThreshold: base.Cost / 1e6})
 	fmt.Printf("threshold opt/1e6:   cost=%.6g  time=%-12v loop_iters=%-10d κ″=%d  (passes=%d — the Figure-6 ripple)\n",
 		tight.Cost, tightTime, tight.Counters.LoopIters, tight.Counters.KppEvals, tight.Counters.Passes)
 

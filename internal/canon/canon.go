@@ -32,17 +32,12 @@ import (
 	"blitzsplit/internal/plan"
 )
 
-// Options configures canonicalization.
-type Options struct {
-	// SelectivityQuantum, when > 0, rounds every selectivity to the nearest
-	// multiple of the quantum in log2 space before canonicalizing, so queries
-	// whose selectivities differ only by estimation noise share a fingerprint.
-	// The canonical query carries the quantized selectivities: a cached plan
-	// is exact for the quantized query and an approximation for the caller's.
-	// 0 keeps selectivities exact (the default, and the only setting under
-	// which cached plans are bit-identical to cold optimizations).
-	SelectivityQuantum float64
-}
+// Options configures canonicalization. It has no fields: selectivities are
+// canonicalized exactly, so a plan cached under a fingerprint is
+// bit-identical to a cold optimization of every query with that fingerprint.
+// Canonicalize keeps the parameter because the benchmark module, which is
+// built from its own go.mod, passes Options{}.
+type Options struct{}
 
 // Canonical is the result of canonicalizing a query.
 type Canonical struct {
@@ -81,10 +76,10 @@ type Canonical struct {
 	hasGraph bool
 }
 
-// Query materializes the canonically relabeled (and, under a quantum,
-// quantized) copy of the input. It shares no mutable state with the input.
-// The engine calls this only on a cache miss, when the canonical query is
-// about to be optimized; hits never pay for graph construction.
+// Query materializes the canonically relabeled copy of the input. It shares
+// no mutable state with the input. The engine calls this only on a cache
+// miss, when the canonical query is about to be optimized; hits never pay for
+// graph construction.
 func (c *Canonical) Query() core.Query {
 	cq := core.Query{Cards: c.cards}
 	if c.hasGraph {
@@ -132,25 +127,6 @@ func appendFingerprint(b []byte, cards []float64, edges []joingraph.Edge, hasGra
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Selectivity))
 	}
 	return b
-}
-
-// Quantize rounds a selectivity to the nearest multiple of quantum in log2
-// space, clamped back into the valid (0, 1] range. quantum ≤ 0 returns s
-// unchanged. Quantization in log space keeps the relative error bounded by
-// 2^(quantum/2) − 1 uniformly across the huge dynamic range selectivities
-// span (1e−9 … 1).
-func Quantize(s, quantum float64) float64 {
-	if quantum <= 0 || s <= 0 {
-		return s
-	}
-	v := math.Exp2(math.Round(math.Log2(s)/quantum) * quantum)
-	if v > 1 {
-		return 1
-	}
-	if v <= 0 { // underflow on absurdly small selectivities
-		return math.SmallestNonzeroFloat64
-	}
-	return v
 }
 
 // FoldSelectivities folds the selectivities of several predicates between the

@@ -151,6 +151,13 @@ func TestNonIsomorphicNeverAlias(t *testing.T) {
 	if a.Fingerprint == b.Fingerprint {
 		t.Fatal("C6 and 2×K3 share a fingerprint: non-isomorphic aliasing")
 	}
+	// Selectivities enter the fingerprint bit for bit: a 3% difference is a
+	// different query, never a shared cache entry.
+	x, _ := Canonicalize(chainQuery([]float64{100, 200, 300}, []float64{0.100, 0.01}), Options{})
+	y, _ := Canonicalize(chainQuery([]float64{100, 200, 300}, []float64{0.103, 0.01}), Options{})
+	if x.Fingerprint == y.Fingerprint {
+		t.Fatal("chains differing in one selectivity share a fingerprint")
+	}
 }
 
 // The canonical query must be an exact relabeling of the input: cards
@@ -242,55 +249,6 @@ func TestRandomInvarianceSweep(t *testing.T) {
 				t.Fatalf("trial %d: exact canonicalization not invariant", trial)
 			}
 		}
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	if got := Quantize(0.37, 0); got != 0.37 {
-		t.Fatalf("quantum 0 must be identity, got %v", got)
-	}
-	const q = 0.5
-	for _, s := range []float64{1, 0.9, 0.5, 1e-3, 1e-9, 3e-17} {
-		v := Quantize(s, q)
-		if !(v > 0 && v <= 1) {
-			t.Fatalf("Quantize(%v) = %v escapes (0, 1]", s, v)
-		}
-		if w := Quantize(v, q); w != v {
-			t.Fatalf("Quantize not idempotent at %v: %v then %v", s, v, w)
-		}
-	}
-	// Two noisy estimates of the same underlying selectivity land in one
-	// bucket; clearly different selectivities stay apart.
-	if Quantize(0.100, q) != Quantize(0.103, q) {
-		t.Fatal("noise-level difference should quantize together")
-	}
-	if Quantize(0.1, q) == Quantize(0.4, q) {
-		t.Fatal("4× selectivity gap should stay distinguishable at quantum 0.5")
-	}
-	if Quantize(0.99, q) != 1 {
-		t.Fatal("values rounding above 1 must clamp to 1")
-	}
-}
-
-func TestQuantizedFingerprintsMerge(t *testing.T) {
-	a := chainQuery([]float64{100, 200, 300}, []float64{0.100, 0.01})
-	b := chainQuery([]float64{100, 200, 300}, []float64{0.103, 0.01})
-	opts := Options{SelectivityQuantum: 0.5}
-	ca, err := Canonicalize(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := Canonicalize(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca.Fingerprint != cb.Fingerprint {
-		t.Fatal("noise-level selectivity difference should share a quantized fingerprint")
-	}
-	ea, _ := Canonicalize(a, Options{})
-	eb, _ := Canonicalize(b, Options{})
-	if ea.Fingerprint == eb.Fingerprint {
-		t.Fatal("exact fingerprints must distinguish different selectivities")
 	}
 }
 

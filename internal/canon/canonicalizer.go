@@ -61,7 +61,7 @@ type Canonicalizer struct {
 // the canonicalizer's scratch, replacing any previous result. The accessors
 // (Fingerprint, ToOrig, Exact) expose the result without copying; Canonical
 // materializes a persistent copy for callers that outlive the scratch.
-func (c *Canonicalizer) Canonicalize(q core.Query, opts Options) error {
+func (c *Canonicalizer) Canonicalize(q core.Query, _ Options) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
@@ -81,9 +81,6 @@ func (c *Canonicalizer) Canonicalize(q core.Query, opts Options) error {
 	c.nbrs = c.nbrs[:0]
 	if q.Graph != nil {
 		c.edges = q.Graph.AppendEdges(c.edges)
-		for i := range c.edges {
-			c.edges[i].Selectivity = Quantize(c.edges[i].Selectivity, opts.SelectivityQuantum)
-		}
 		c.buildAdjacency()
 	} else {
 		for i := 0; i <= n; i++ {
@@ -243,9 +240,9 @@ func growScratch[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// buildAdjacency flattens the (already quantized) edge list into the
-// offset/entry pair nbrOff/nbrs — a two-pass counting sort over endpoints, no
-// per-vertex slices.
+// buildAdjacency flattens the edge list into the offset/entry pair
+// nbrOff/nbrs — a two-pass counting sort over endpoints, no per-vertex
+// slices.
 func (c *Canonicalizer) buildAdjacency() {
 	n := c.n
 	for i := 0; i <= n; i++ {

@@ -156,7 +156,7 @@ func (c Checker) SerialParallelIdentical(q core.Query, opts core.Options, worker
 
 // ThresholdIdentical re-runs q with and without a §6.4 plan-cost threshold
 // and requires identical final outcomes. Thresholding prunes the search and
-// retries with a ×ThresholdGrowth larger threshold on failure (dropping it
+// retries with a ×1000 larger threshold on failure (dropping it
 // entirely on the last pass), so it can only skip work, never change the
 // answer: final cost, cardinality, and plan must be bit-identical. Counters
 // legitimately differ across pass counts and are not compared.

@@ -70,15 +70,8 @@ type Options struct {
 	// has its best-split search skipped wholesale, and any plan costlier than
 	// the threshold is rejected. If optimization fails at the current
 	// threshold, it is retried with the threshold multiplied by
-	// ThresholdGrowth, up to MaxPasses passes. 0 disables thresholding.
+	// thresholdGrowth, up to maxPasses passes. 0 disables thresholding.
 	CostThreshold float64
-	// ThresholdGrowth is the per-pass threshold multiplier; values ≤ 1 mean
-	// the default ×1000.
-	ThresholdGrowth float64
-	// MaxPasses bounds the number of threshold passes; ≤ 0 means 10. The
-	// final allowed pass runs with the threshold removed (clamped to the
-	// overflow limit), so MaxPasses never causes a spurious failure.
-	MaxPasses int
 	// OverflowLimit is the cost above which plans are summarily rejected,
 	// simulating the paper's single-precision overflow; ≤ 0 means
 	// math.MaxFloat32.
@@ -154,19 +147,14 @@ func (o Options) overflowLimit() float64 {
 	return o.OverflowLimit
 }
 
-func (o Options) thresholdGrowth() float64 {
-	if o.ThresholdGrowth <= 1 {
-		return 1000
-	}
-	return o.ThresholdGrowth
-}
-
-func (o Options) maxPasses() int {
-	if o.MaxPasses <= 0 {
-		return 10
-	}
-	return o.MaxPasses
-}
+// The §6.4 retry schedule: a pass that finds no plan under the threshold is
+// retried with the threshold ×thresholdGrowth, and pass maxPasses runs with
+// the threshold removed (clamped to the overflow limit), so the bound never
+// causes a spurious failure.
+const (
+	thresholdGrowth = 1000
+	maxPasses       = 10
+)
 
 func (o Options) workers() int {
 	if o.Parallelism < 0 {
@@ -295,7 +283,6 @@ func Optimize(q Query, opts Options) (*Result, error) {
 	if opts.CostThreshold > 0 && opts.CostThreshold < limit {
 		threshold = opts.CostThreshold
 	}
-	maxPasses := opts.maxPasses()
 	for pass := 1; ; pass++ {
 		if pass == maxPasses && threshold < limit {
 			threshold = limit // last chance: drop the artificial threshold
@@ -314,7 +301,7 @@ func Optimize(q Query, opts Options) (*Result, error) {
 			opts.Arena.Put(t)
 			return nil, ErrNoPlan
 		}
-		threshold *= opts.thresholdGrowth()
+		threshold *= thresholdGrowth
 		if threshold > limit {
 			threshold = limit
 		}

@@ -396,7 +396,7 @@ func TestThresholdFindsSameCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A threshold well below the true optimum forces re-optimization.
-		th, err := Optimize(q, Options{Model: m, CostThreshold: base.Cost / 1e7, ThresholdGrowth: 10})
+		th, err := Optimize(q, Options{Model: m, CostThreshold: base.Cost / 1e7})
 		if err != nil {
 			t.Fatal(err)
 		}

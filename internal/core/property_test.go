@@ -134,7 +134,7 @@ func TestPropertyThresholdInvariance(t *testing.T) {
 			return true
 		}
 		threshold := float64(thRaw%1000+1) * base.Cost / 500 // 0.002×…2× optimum
-		th, err := Optimize(q, Options{CostThreshold: threshold, ThresholdGrowth: 8})
+		th, err := Optimize(q, Options{CostThreshold: threshold})
 		if err != nil {
 			return true
 		}

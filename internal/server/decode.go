@@ -6,7 +6,6 @@ import (
 	"unicode/utf8"
 
 	"blitzsplit/internal/bitset"
-	"blitzsplit/internal/catalog"
 	"blitzsplit/internal/spec"
 )
 
@@ -333,11 +332,11 @@ func (p *plainParser) boolean() bool {
 // longer array spills to the heap), and the result is allocated once, at
 // its exact length. An empty array decodes to an empty non-nil slice, as
 // with encoding/json.
-func (p *plainParser) relations() []catalog.Relation {
-	var buf [32]catalog.Relation
+func (p *plainParser) relations() []spec.Relation {
+	var buf [32]spec.Relation
 	rels := buf[:0]
 	for more := p.open('[', ']'); more; more = p.next(']') {
-		var r catalog.Relation
+		var r spec.Relation
 		var seen uint32
 		for more := p.open('{', '}'); more; more = p.next('}') {
 			switch p.key(relationKeys, &seen) {
@@ -354,14 +353,14 @@ func (p *plainParser) relations() []catalog.Relation {
 	if p.bad {
 		return nil
 	}
-	return append(make([]catalog.Relation, 0, len(rels)), rels...)
+	return append(make([]spec.Relation, 0, len(rels)), rels...)
 }
 
 // joins reads the join array, as relations reads the relation array. An
 // endpoint naming one of rels, the relations decoded so far, reuses that
 // relation's string, so the name comparisons of validation and query
 // building meet equal pointers.
-func (p *plainParser) joins(rels []catalog.Relation) []spec.Join {
+func (p *plainParser) joins(rels []spec.Relation) []spec.Join {
 	var buf [64]spec.Join
 	joins := buf[:0]
 	for more := p.open('[', ']'); more; more = p.next(']') {
@@ -388,7 +387,7 @@ func (p *plainParser) joins(rels []catalog.Relation) []spec.Join {
 // relationName returns the name in rels equal to v, or v. Above
 // bitset.MaxRelations the request is refused anyway, and the scan is skipped
 // so that an oversized body costs no relations × joins comparisons.
-func relationName(rels []catalog.Relation, v string) string {
+func relationName(rels []spec.Relation, v string) string {
 	if len(rels) > bitset.MaxRelations {
 		return v
 	}

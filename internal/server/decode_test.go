@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"blitzsplit/internal/catalog"
 	"blitzsplit/internal/cost"
 	"blitzsplit/internal/joingraph"
 	"blitzsplit/internal/spec"
@@ -151,9 +150,9 @@ func randomRequest(rng *rand.Rand) ExecuteRequest {
 		return rng.Int63n(1<<40) - 1<<39
 	}
 	var req ExecuteRequest
-	req.Relations = make([]catalog.Relation, rng.Intn(16))
+	req.Relations = make([]spec.Relation, rng.Intn(16))
 	for i := range req.Relations {
-		req.Relations[i] = catalog.Relation{Name: name(), Cardinality: float(), Width: int(integer())}
+		req.Relations[i] = spec.Relation{Name: name(), Cardinality: float(), Width: int(integer())}
 	}
 	if rng.Intn(4) > 0 {
 		req.Joins = make([]spec.Join, rng.Intn(20))

@@ -679,9 +679,11 @@ func (s *Server) admit(ctx context.Context) *serveErr {
 func (s *Server) effectiveTimeout(req *OptimizeRequest, used int) time.Duration {
 	d := s.cfg.RequestTimeout
 	if req.TimeoutMS > 0 {
-		d = time.Duration(req.TimeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
+		// Cap in milliseconds, before converting: from about 9.2e12 ms up,
+		// the product overflows time.Duration and wraps below the cap.
+		d = s.cfg.MaxTimeout
+		if req.TimeoutMS < d.Milliseconds() {
+			d = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	d /= overloadDivisor(used, cap(s.inflight))

@@ -20,8 +20,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
-	"blitzsplit/internal/catalog"
+	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/joingraph"
 )
@@ -53,6 +54,20 @@ var (
 	ErrBadSelectivity = errors.New("spec: selectivity must be in (0, 1]")
 )
 
+// Relation is one base relation in a spec file. Its position in the
+// relation list is its index in the optimizer's bitsets.
+type Relation struct {
+	// Name is a human-readable identifier, unique within a spec.
+	Name string `json:"name"`
+	// Cardinality is the (estimated) number of tuples. The paper holds these
+	// in a wide-dynamic-range float (§4.1 footnote 2); so do we.
+	Cardinality float64 `json:"cardinality"`
+	// Width is the tuple width in bytes; zero means unknown. Specs and
+	// requests carry it and validation rejects a negative one, but no cost
+	// model reads it.
+	Width int `json:"width,omitempty"`
+}
+
 // Join is one equi-join predicate in a spec file.
 type Join struct {
 	A           string  `json:"a"`
@@ -62,8 +77,8 @@ type Join struct {
 
 // File is a parsed query spec.
 type File struct {
-	Relations []catalog.Relation `json:"relations"`
-	Joins     []Join             `json:"joins,omitempty"`
+	Relations []Relation `json:"relations"`
+	Joins     []Join     `json:"joins,omitempty"`
 }
 
 // Parse decodes and validates a spec.
@@ -143,38 +158,37 @@ func Load(path string) (*File, error) {
 	return Parse(data)
 }
 
-// Query materializes the spec into the optimizer's input representation,
-// returning the query and the relation names in index order.
+// Query materializes a valid spec (see Validate) into the optimizer's input
+// representation, returning the query and the relation names in index order.
+// Its one check beyond Validate's is the optimizer's limit of
+// bitset.MaxRelations relations.
 func (f *File) Query() (core.Query, []string, error) {
-	cat, err := catalog.FromRelations(f.Relations)
-	if err != nil {
-		return core.Query{}, nil, err
+	n := len(f.Relations)
+	if n > bitset.MaxRelations {
+		return core.Query{}, nil, fmt.Errorf("spec: %d relations exceeds the maximum %d", n, bitset.MaxRelations)
+	}
+	cards := make([]float64, n)
+	names := make([]string, n)
+	for i, r := range f.Relations {
+		cards[i], names[i] = r.Cardinality, r.Name
 	}
 	var g *joingraph.Graph
 	if len(f.Joins) > 0 {
-		g = joingraph.New(cat.Len())
+		g = joingraph.New(n)
 		for _, j := range f.Joins {
-			ai, ok := cat.Index(j.A)
-			if !ok {
-				return core.Query{}, nil, fmt.Errorf("spec: join references unknown relation %q", j.A)
-			}
-			bi, ok := cat.Index(j.B)
-			if !ok {
-				return core.Query{}, nil, fmt.Errorf("spec: join references unknown relation %q", j.B)
-			}
-			if err := g.AddEdge(ai, bi, j.Selectivity); err != nil {
+			if err := g.AddEdge(slices.Index(names, j.A), slices.Index(names, j.B), j.Selectivity); err != nil {
 				return core.Query{}, nil, err
 			}
 		}
 	}
-	return core.Query{Cards: cat.Cardinalities(), Graph: g}, cat.Names(), nil
+	return core.Query{Cards: cards, Graph: g}, names, nil
 }
 
 // Example returns a small self-describing sample spec (the paper's Figure-3
 // query shape with plausible numbers), used by `blitzsplit -example`.
 func Example() *File {
 	return &File{
-		Relations: []catalog.Relation{
+		Relations: []Relation{
 			{Name: "A", Cardinality: 1000},
 			{Name: "B", Cardinality: 5000},
 			{Name: "C", Cardinality: 200},

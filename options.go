@@ -30,7 +30,7 @@ func newConfig(options []Option) (config, error) {
 }
 
 // model returns the configured cost model, defaulting like core does.
-func (c config) model() CostModel {
+func (c config) model() cost.Model {
 	if c.opts.Model == nil {
 		return cost.Naive{}
 	}
@@ -62,17 +62,6 @@ func WithCostModel(name string) Option {
 		m, err := cost.ByName(name)
 		if err != nil {
 			return err
-		}
-		c.opts.Model = m
-		return nil
-	}
-}
-
-// WithModel supplies a CostModel value directly.
-func WithModel(m CostModel) Option {
-	return func(c *config) error {
-		if m == nil {
-			return errors.New("blitzsplit: nil cost model")
 		}
 		c.opts.Model = m
 		return nil
@@ -132,19 +121,6 @@ func WithCostThreshold(threshold float64) Option {
 			return errors.New("blitzsplit: cost threshold must be positive")
 		}
 		c.opts.CostThreshold = threshold
-		return nil
-	}
-}
-
-// WithOverflowLimit overrides the cost overflow limit (default: the
-// single-precision float maximum, mirroring the paper's float32 cost
-// representation, §6.3).
-func WithOverflowLimit(limit float64) Option {
-	return func(c *config) error {
-		if limit <= 0 {
-			return errors.New("blitzsplit: overflow limit must be positive")
-		}
-		c.opts.OverflowLimit = limit
 		return nil
 	}
 }

@@ -3,55 +3,73 @@ package blitzsplit
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
+	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/canon"
-	"blitzsplit/internal/catalog"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/joingraph"
 )
 
 // Query is a join-order optimization problem under construction. The zero
-// value is not usable; call NewQuery.
+// value is an empty query, like NewQuery's result.
 type Query struct {
-	cat   *catalog.Catalog
+	// names and cards are the relations in insertion order: a relation's
+	// position is its index in the optimizer's bitsets. Both only grow, so a
+	// built query may share their prefixes.
+	names []string
+	cards []float64
 	edges []edgeSpec
 	// memo caches build's product so repeated Optimize calls on an unchanged
-	// query — the serving hot path — skip graph construction and the catalog
-	// copies. Mutators clear it; the atomic makes concurrent Optimize calls
-	// on one query race-free (concurrent rebuilds compute equal values, and
-	// whichever Store wins is correct).
+	// query — the serving hot path — skip graph construction. Mutators clear
+	// it; the atomic makes concurrent Optimize calls on one query race-free
+	// (concurrent rebuilds compute equal values, and whichever Store wins is
+	// correct).
 	memo atomic.Pointer[queryMemo]
 }
 
-// queryMemo is one immutable build product. The core.Query and names inside
-// are shared by every Optimize call until the query is mutated; optimization
-// only reads them.
+// queryMemo is one immutable build product. The core.Query inside is shared
+// by every Optimize call until the query is mutated; optimization only reads
+// it.
 type queryMemo struct {
-	cq    core.Query
-	names []string
-	err   error
+	cq  core.Query
+	err error
 }
 
+// edgeSpec is one declared predicate, its endpoints resolved to relation
+// indexes when Join was called.
 type edgeSpec struct {
-	a, b        string
+	a, b        int
 	selectivity float64
 }
 
 // NewQuery returns an empty query.
 func NewQuery() *Query {
-	return &Query{cat: catalog.New()}
+	return &Query{}
 }
 
 // AddRelation adds a base relation with the given name and (estimated)
-// cardinality. Relations are ordered by insertion; at most 30 are supported.
+// cardinality. Names must be nonempty and unique, and cardinalities finite
+// and nonnegative. Relations are ordered by insertion; at most 30 are
+// supported.
 func (q *Query) AddRelation(name string, cardinality float64) error {
-	_, err := q.cat.Add(catalog.Relation{Name: name, Cardinality: cardinality})
-	if err == nil {
-		q.memo.Store(nil)
+	switch {
+	case name == "":
+		return errors.New("blitzsplit: relation name must be nonempty")
+	case slices.Contains(q.names, name):
+		return fmt.Errorf("blitzsplit: duplicate relation %q", name)
+	case cardinality < 0 || math.IsNaN(cardinality) || math.IsInf(cardinality, 0):
+		return fmt.Errorf("blitzsplit: relation %q has invalid cardinality %v", name, cardinality)
+	case len(q.names) >= bitset.MaxRelations:
+		return fmt.Errorf("blitzsplit: at most %d relations are supported", bitset.MaxRelations)
 	}
-	return err
+	q.names = append(q.names, name)
+	q.cards = append(q.cards, cardinality)
+	q.memo.Store(nil)
+	return nil
 }
 
 // MustAddRelation is AddRelation that panics on error.
@@ -67,13 +85,15 @@ func (q *Query) MustAddRelation(name string, cardinality float64) {
 // selectivities are folded into a single multiplicative factor at build time,
 // independently of declaration order.
 func (q *Query) Join(a, b string, selectivity float64) error {
-	if _, ok := q.cat.Index(a); !ok {
+	ai := slices.Index(q.names, a)
+	if ai < 0 {
 		return fmt.Errorf("blitzsplit: unknown relation %q", a)
 	}
-	if _, ok := q.cat.Index(b); !ok {
+	bi := slices.Index(q.names, b)
+	if bi < 0 {
 		return fmt.Errorf("blitzsplit: unknown relation %q", b)
 	}
-	q.edges = append(q.edges, edgeSpec{a: a, b: b, selectivity: selectivity})
+	q.edges = append(q.edges, edgeSpec{a: ai, b: bi, selectivity: selectivity})
 	q.memo.Store(nil)
 	return nil
 }
@@ -86,11 +106,11 @@ func (q *Query) MustJoin(a, b string, selectivity float64) {
 }
 
 // NumRelations returns the number of relations added so far.
-func (q *Query) NumRelations() int { return q.cat.Len() }
+func (q *Query) NumRelations() int { return len(q.names) }
 
 // RelationNames returns the relation names in insertion order — the index
 // order used in Plan leaves.
-func (q *Query) RelationNames() []string { return q.cat.Names() }
+func (q *Query) RelationNames() []string { return append([]string{}, q.names...) }
 
 // build materializes the internal query representation, memoized until the
 // next mutation. Repeated predicates between one relation pair are a
@@ -103,22 +123,21 @@ func (q *Query) build() (core.Query, error) {
 		return m.cq, m.err
 	}
 	cq, err := q.buildUncached()
-	q.memo.Store(&queryMemo{cq: cq, names: q.cat.Names(), err: err})
+	q.memo.Store(&queryMemo{cq: cq, err: err})
 	return cq, err
 }
 
-// names returns the relation names for result assembly, shared from the memo
-// when one exists. Callers must not mutate the returned slice; the public
-// RelationNames keeps returning a fresh copy.
-func (q *Query) names() []string {
-	if m := q.memo.Load(); m != nil {
-		return m.names
-	}
-	return q.cat.Names()
+// resultNames returns the relation names for result assembly without a
+// copy. Callers must not mutate the returned slice; the public RelationNames
+// returns a copy. The full slice expression caps it, so an append by a
+// reader reallocates instead of writing where a later AddRelation will.
+func (q *Query) resultNames() []string {
+	n := len(q.names)
+	return q.names[:n:n]
 }
 
 func (q *Query) buildUncached() (core.Query, error) {
-	n := q.cat.Len()
+	n := len(q.cards)
 	if n == 0 {
 		return core.Query{}, errors.New("blitzsplit: query has no relations")
 	}
@@ -130,13 +149,11 @@ func (q *Query) buildUncached() (core.Query, error) {
 		for _, e := range q.edges {
 			if !(e.selectivity > 0 && e.selectivity <= 1) {
 				return core.Query{}, fmt.Errorf(
-					"blitzsplit: join %s⋈%s selectivity %v is outside (0, 1]", e.a, e.b, e.selectivity)
+					"blitzsplit: join %s⋈%s selectivity %v is outside (0, 1]", q.names[e.a], q.names[e.b], e.selectivity)
 			}
-			ai, _ := q.cat.Index(e.a)
-			bi, _ := q.cat.Index(e.b)
-			k := pair{ai, bi}
-			if bi < ai {
-				k = pair{bi, ai}
+			k := pair{e.a, e.b}
+			if e.b < e.a {
+				k = pair{e.b, e.a}
 			}
 			if _, ok := groups[k]; !ok {
 				order = append(order, k)
@@ -150,7 +167,7 @@ func (q *Query) buildUncached() (core.Query, error) {
 			}
 		}
 	}
-	return core.Query{Cards: q.cat.Cardinalities(), Graph: g}, nil
+	return core.Query{Cards: q.cards[:n:n], Graph: g}, nil
 }
 
 // Synthesize materializes an in-memory database instance matching the

@@ -36,7 +36,7 @@ type Result struct {
 
 	names []string
 	query core.Query
-	model CostModel
+	model cost.Model
 }
 
 // outcome is the internal optimizer product before facade assembly: the plan

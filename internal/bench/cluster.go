@@ -73,8 +73,8 @@ func Cluster(cfg Config) error {
 		d = 300 * time.Millisecond
 	}
 
-	fmt.Fprintf(w, "%6s %6s %10s %10s %10s %12s %12s %8s\n",
-		"nodes", "conc", "requests", "p99 µs", "qps", "hit%", "hit+coal%", "retries")
+	fmt.Fprintf(w, "%6s %6s %10s %10s %10s %12s %12s %8s %8s\n",
+		"nodes", "conc", "requests", "p99 µs", "qps", "hit%", "hit+coal%", "retries", "skipped")
 	var results []map[string]any
 	// rate[nodes] is the combined hit+coalesce rate at the top concurrency.
 	rate := map[int]float64{}
@@ -84,9 +84,9 @@ func Cluster(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%6d %6d %10d %10.1f %10.0f %11.1f%% %11.1f%% %8d\n",
+			fmt.Fprintf(w, "%6d %6d %10d %10.1f %10.0f %11.1f%% %11.1f%% %8d %8d\n",
 				nodes, level, lr.requests, lr.p99US, lr.qps,
-				100*lr.hitRate, 100*lr.combinedRate, lr.retries)
+				100*lr.hitRate, 100*lr.combinedRate, lr.retries, lr.skipped)
 			prefix := fmt.Sprintf("cluster/nodes=%d/c=%d/", nodes, level)
 			results = append(results,
 				map[string]any{"case": prefix + "requests", "value": lr.requests},
@@ -95,6 +95,7 @@ func Cluster(cfg Config) error {
 				map[string]any{"case": prefix + "hit_rate_pct", "value": round1(100 * lr.hitRate)},
 				map[string]any{"case": prefix + "hit_coalesce_rate_pct", "value": round1(100 * lr.combinedRate)},
 				map[string]any{"case": prefix + "retries_503", "value": lr.retries},
+				map[string]any{"case": prefix + "peer_work_skipped", "value": lr.skipped},
 			)
 			rate[nodes] = lr.combinedRate
 		}
@@ -120,7 +121,8 @@ func Cluster(cfg Config) error {
 				"hit_rate_pct counts client-observed cached responses; hit_coalesce_rate_pct adds "+
 				"the servers' exact coalesced-wait counters. Each nodes×concurrency cell runs a "+
 				"fresh set of processes for %v. p99_us is the client-side per-request wall "+
-				"including forwards and any 503 backoff.", zipfS, len(bodies), n, cacheBudget, d),
+				"including forwards and any 503 backoff. peer_work_skipped sums the nodes' "+
+				"cheap fills and pushes turned away by a full peer-work pool.", zipfS, len(bodies), n, cacheBudget, d),
 			results)
 	}
 	return nil
@@ -139,6 +141,7 @@ type clusterLevelResult struct {
 	qps          float64
 	hitRate      float64 // client-observed cached:true
 	combinedRate float64 // (cache hits + coalesced waits) / requests
+	skipped      int64   // peer fills and pushes the nodes turned away
 	retries      int64
 }
 
@@ -223,7 +226,7 @@ func clusterLevel(bin string, nodes, level int, d time.Duration, cacheBudget uin
 
 	// Coalesced waits are invisible to the client (the follower's response
 	// looks like the leader's); sum them from every node's exact telemetry.
-	var coalesced float64
+	var coalesced, skipped float64
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, dm := range daemons {
 		vars, err := scrapeVars(client, dm.base)
@@ -231,6 +234,7 @@ func clusterLevel(bin string, nodes, level int, d time.Duration, cacheBudget uin
 			return zero, err
 		}
 		coalesced += vars["blitzd_coalesced_total"]
+		skipped += vars["blitzd_cluster_peer_work_skipped_total"]
 	}
 
 	h := float64(hits.Load())
@@ -242,6 +246,7 @@ func clusterLevel(bin string, nodes, level int, d time.Duration, cacheBudget uin
 		hitRate:      h / total,
 		combinedRate: (h + coalesced) / total,
 		retries:      retries.Load(),
+		skipped:      int64(skipped),
 	}, nil
 }
 

@@ -57,8 +57,11 @@ stress:
 		-run 'Budget|Cancel|Ladder|Leak|Deadline|Clamp|Engine|Cache|Arena|Reuse|Concurrent|Canonicalizer|Enumerator|Snapshot|Quarantine|Panic' \
 		./internal/core/ ./internal/hybrid/ ./internal/plancache/ ./internal/canon/ .
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'FuzzEnumerators|CCP|Seeded' \
+		-run 'FuzzEnumerators|CCP|Seeded|OperandFloor|CacheFaithful|SnapshotFaithful' \
 		./internal/check/ ./internal/core/
+	$(GO) test -race -timeout 600s -count=5 \
+		-run 'ValidateScan|FuzzSynthesizeDraw' \
+		./internal/spec/ ./internal/engine/
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute|Fingerprint|LargeChainBoundedAlloc' \
 		./internal/server/ ./internal/telemetry/ ./internal/snapshot/

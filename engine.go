@@ -164,9 +164,10 @@ func (e *Engine) Stats() EngineStats {
 // Optimize runs Algorithm blitzsplit over the query and returns the optimal
 // bushy plan, consulting the engine's plan cache first: if an isomorphic
 // query (same shape under some relation renumbering, per internal/canon) was
-// optimized before, its plan is rewritten to this query's numbering and
-// returned with Result.Cached set — bit-identical cost, cardinality and plan
-// shape to what a cold run would produce. Only full exhaustive optima are
+// optimized before, its plan's numbers are re-derived from the query and the
+// plan is rewritten to this query's numbering and returned with
+// Result.Cached set — bit-identical cost, cardinality and plan shape to what
+// a cold run would produce. Only full exhaustive optima are
 // cached; degraded ladder results are returned but never stored.
 //
 // ctx bounds the run like WithContext (a WithContext option takes
@@ -225,11 +226,11 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 		e.scratch.Put(sc)
 		return nil, &QuarantineError{Strikes: strikes}
 	}
-	if ent, ok := e.cache.GetBytes(sc.key); ok {
+	if ent, ok := e.cache.GetBytes(sc.key); ok && rederive(sc, ent, cfg.opts.Model) {
 		// The hit path runs entirely out of scratch: the plan the cache
-		// built for this hit (one slab allocation), relabeled in place, is
-		// the only state that outlives it. The outcome is a local — finish
-		// only reads it, so it never escapes to the heap.
+		// built for this hit (one slab allocation), annotated and relabeled
+		// in place, is the only state that outlives it. The outcome is a
+		// local — finish only reads it, so it never escapes to the heap.
 		canon.RelabelPlanInPlace(ent.Plan, sc.canon.ToOrig())
 		o := outcome{
 			plan:     ent.Plan,
@@ -268,6 +269,19 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 	}
 	canon.RelabelPlanInPlace(o.plan, cn.ToOrig)
 	return cfg.finish(o, names, cq), nil
+}
+
+// rederive fills in the numbers of a hit's shape-only plan from the
+// canonical query in sc, with the fill's own arithmetic (core.AnnotatePlan),
+// and reports whether the re-derived root matches the entry's stored cost
+// and cardinality bit for bit. A hit that does not match is not served: the
+// caller runs it cold, which overwrites the entry. Within one build it
+// always matches; an entry restored from a snapshot written by a build
+// whose cost arithmetic differed would not.
+func rederive(sc *serveScratch, ent plancache.Entry, m cost.Model) bool {
+	core.AnnotatePlan(ent.Plan, sc.canon.Cards(), sc.canon.Edges(), m)
+	return math.Float64bits(ent.Plan.Cost) == math.Float64bits(ent.Cost) &&
+		math.Float64bits(ent.Plan.Card) == math.Float64bits(ent.Cardinality)
 }
 
 // planKey canonicalizes cq into the pooled scratch, resolves the enumerator

@@ -159,6 +159,19 @@ func (c *Canonicalizer) Fingerprint() []byte { return c.fp }
 // the next call.
 func (c *Canonicalizer) ToOrig() []int { return c.toOrig }
 
+// Cards returns the canonical query's base cardinalities from the last
+// Canonicalize call, in canonical order. Like Fingerprint, the slice
+// aliases scratch and is valid only until the next call.
+func (c *Canonicalizer) Cards() []float64 { return c.canonCards }
+
+// Edges returns the canonical query's join predicates from the last
+// Canonicalize call, relabeled to canonical numbering with A < B and sorted
+// by (A, B): with Cards, what a cache hit needs to re-derive its plan's
+// numbers (core.AnnotatePlan) without building a graph. Empty when the
+// query has no join graph. Like Fingerprint, the slice aliases scratch and
+// is valid only until the next call.
+func (c *Canonicalizer) Edges() []joingraph.Edge { return c.edges }
+
 // Exact reports whether refinement alone separated every relation in the
 // last Canonicalize call (see Canonical.Exact for the cache implications).
 func (c *Canonicalizer) Exact() bool { return c.exact }

@@ -8,21 +8,27 @@ import (
 	"blitzsplit/internal/canon"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/cost"
+	"blitzsplit/internal/plancache"
 )
 
 // CacheFaithful is the metamorphic invariant behind the facade's plan cache:
 // serving a cached plan to a relabeled resubmission must be indistinguishable
 // from optimizing cold. It replays the engine's cache protocol at the
-// canon/core level — canonicalize, optimize the canonical query (the "store"),
-// canonicalize the permuted resubmission, relabel the stored plan back (the
-// "hit") — and demands:
+// canon/core/plancache level — canonicalize, optimize the canonical query and
+// store it in a plan cache (the "store"), canonicalize the permuted
+// resubmission, read the shape-only entry back, re-derive its numbers from
+// the resubmission's canonical query and relabel it (the "hit") — and
+// demands:
 //
 //   - fingerprint stability: when the first canonicalization is Exact, the
 //     permuted resubmission must produce the same fingerprint (a hit, not a
 //     spurious miss);
-//   - on a hit, the served plan must be well-formed for the resubmitted
-//     labeling and its cost/cardinality bookkeeping must recompute exactly
-//     against the resubmitted query — the serve path invents no numbers;
+//   - on a hit, every node's re-derived cardinality and cost must equal the
+//     stored cold run's bit for bit, the root's included (the engine refuses
+//     a hit whose root does not match);
+//   - the served plan must be well-formed for the resubmitted labeling and
+//     its cost/cardinality bookkeeping must recompute exactly against the
+//     resubmitted query — the serve path invents no numbers;
 //   - the served cost must agree with a genuinely cold optimization of the
 //     resubmitted query within permTol (the same bound, and the same
 //     near-overflow forgiveness, as PermutationInvariant);
@@ -59,11 +65,15 @@ func (c Checker) CacheFaithful(q core.Query, opts core.Options, perm []int) erro
 			}
 			return fmt.Errorf("check: canonical optimization failed: %w", storedErr)
 		}
-		served := &core.Result{
-			Plan:        canon.RelabelPlan(stored.Plan, cn2.ToOrig),
-			Cost:        stored.Cost,
-			Cardinality: stored.Cardinality,
-			Counters:    stored.Counters,
+		cache := plancache.New(0, 1)
+		cache.Put(cn.Fingerprint, entryOf(stored))
+		ent, ok := cache.Get(cn2.Fingerprint)
+		if !ok {
+			return errors.New("check: plan cache misses the stored fingerprint")
+		}
+		served, err := serveHit(ent, q2, stored, opts)
+		if err != nil {
+			return err
 		}
 		if err := WellFormed(len(q2.Cards), served.Plan); err != nil {
 			return fmt.Errorf("check: served plan malformed: %w", err)
@@ -91,6 +101,44 @@ func (c Checker) CacheFaithful(q core.Query, opts core.Options, perm []int) erro
 		}
 	}
 	return nil
+}
+
+// entryOf is the plan-cache entry the engine stores for a cold result.
+func entryOf(res *core.Result) plancache.Entry {
+	return plancache.Entry{Plan: res.Plan, Cost: res.Cost, Cardinality: res.Cardinality, Counters: res.Counters}
+}
+
+// errNotServed marks an entry whose root does not re-derive to its stored
+// numbers: the engine runs such a request cold instead of serving it.
+var errNotServed = errors.New("check: entry not served")
+
+// serveHit replays the engine's hit path on an entry read back from a plan
+// cache for the resubmission q: canonicalize q into a Canonicalizer, as the
+// engine's pooled scratch does, re-derive every node's numbers from the
+// canonical cardinalities and predicates (core.AnnotatePlan), and
+// relabel the plan to q's numbering. It fails with errNotServed when the
+// re-derived root does not match the entry's stored cost and cardinality
+// bit for bit, and otherwise when any node differs from stored, the
+// canonical cold run the entry was made from.
+func serveHit(ent plancache.Entry, q core.Query, stored *core.Result, opts core.Options) (*core.Result, error) {
+	var c canon.Canonicalizer
+	if err := c.Canonicalize(q, canon.Options{}); err != nil {
+		return nil, fmt.Errorf("check: canonicalize resubmission: %w", err)
+	}
+	if ent.Plan == nil {
+		return nil, errors.New("check: served entry has no plan")
+	}
+	core.AnnotatePlan(ent.Plan, c.Cards(), c.Edges(), opts.Model)
+	if math.Float64bits(ent.Plan.Cost) != math.Float64bits(ent.Cost) ||
+		math.Float64bits(ent.Plan.Card) != math.Float64bits(ent.Cardinality) {
+		return nil, fmt.Errorf("%w: its root re-derives to cost %v, card %v; it holds cost %v, card %v",
+			errNotServed, ent.Plan.Cost, ent.Plan.Card, ent.Cost, ent.Cardinality)
+	}
+	if err := planBitsEqual(stored.Plan, ent.Plan); err != nil {
+		return nil, fmt.Errorf("check: served plan re-derives unlike the cold run: %w", err)
+	}
+	canon.RelabelPlanInPlace(ent.Plan, c.ToOrig())
+	return &core.Result{Plan: ent.Plan, Cost: ent.Cost, Cardinality: ent.Cardinality, Counters: ent.Counters}, nil
 }
 
 // servedMatchesCold compares a cache-served result against a cold

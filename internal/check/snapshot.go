@@ -20,13 +20,15 @@ import (
 // plancache/canon level and demands:
 //
 //   - lossless round trip: the snapshot restores exactly one entry for the
-//     stored shape — nothing skipped, nothing rejected, no truncation — and
-//     the restored plan, cost, cardinality and counters are bitwise equal to
-//     what was stored;
-//   - serve equivalence: relabeling the restored plan to a permuted
-//     resubmission's numbering yields a well-formed plan whose bookkeeping
-//     recomputes exactly, and whose cost agrees with a genuinely cold
-//     optimization of the resubmission (CacheFaithful's tolerance);
+//     stored shape — nothing skipped, nothing rejected, no truncation — whose
+//     cost, cardinality and counters are bitwise equal to what was stored,
+//     and whose plan, its numbers re-derived from the canonical query as a
+//     hit re-derives them, equals the stored plan bit for bit;
+//   - serve equivalence: the engine's hit path on the restored entry for a
+//     permuted resubmission (re-derive, relabel) yields a well-formed plan
+//     whose bookkeeping recomputes exactly, and whose cost agrees with a
+//     genuinely cold optimization of the resubmission (CacheFaithful's
+//     tolerance);
 //   - a corrupted snapshot (every byte of the first record flipped in turn
 //     would be too slow here; one representative flip is taken) never loads
 //     the damaged record and never reports an error — serving degrades to
@@ -51,12 +53,7 @@ func (c Checker) SnapshotFaithful(q core.Query, opts core.Options, perm []int) e
 	}
 
 	before := plancache.New(0, 1)
-	before.Put(cn.Fingerprint, plancache.Entry{
-		Plan:        stored.Plan,
-		Cost:        stored.Cost,
-		Cardinality: stored.Cardinality,
-		Counters:    stored.Counters,
-	})
+	before.Put(cn.Fingerprint, entryOf(stored))
 	var buf bytes.Buffer
 	ws, err := before.WriteSnapshot(&buf)
 	if err != nil {
@@ -84,8 +81,8 @@ func (c Checker) SnapshotFaithful(q core.Query, opts core.Options, perm []int) e
 		return fmt.Errorf("check: restored entry not bitwise equal: cost %v vs %v, card %v vs %v",
 			got.Cost, stored.Cost, got.Cardinality, stored.Cardinality)
 	}
-	if err := planBitsEqual(stored.Plan, got.Plan); err != nil {
-		return fmt.Errorf("check: restored plan differs: %w", err)
+	if _, err := serveHit(got, q, stored, opts); err != nil {
+		return fmt.Errorf("check: restored entry: %w", err)
 	}
 
 	// Replay a permuted resubmission against the restored cache, exactly as
@@ -98,11 +95,10 @@ func (c Checker) SnapshotFaithful(q core.Query, opts core.Options, perm []int) e
 	if cn2.Fingerprint != cn.Fingerprint {
 		return nil // inexact canonicalization split the class: a miss, not a fault
 	}
-	served := &core.Result{
-		Plan:        canon.RelabelPlan(got.Plan, cn2.ToOrig),
-		Cost:        got.Cost,
-		Cardinality: got.Cardinality,
-		Counters:    got.Counters,
+	got, _ = after.Get(cn2.Fingerprint)
+	served, err := serveHit(got, q2, stored, opts)
+	if err != nil {
+		return fmt.Errorf("check: restored serve: %w", err)
 	}
 	if err := WellFormed(len(q2.Cards), served.Plan); err != nil {
 		return fmt.Errorf("check: restored served plan malformed: %w", err)
@@ -125,9 +121,11 @@ func (c Checker) SnapshotFaithful(q core.Query, opts core.Options, perm []int) e
 	}
 	if dls.Loaded != 0 {
 		// The flip landed in the payload or CRC of the only record; a load
-		// "succeeding" means the checksum failed to catch it.
+		// "succeeding" means the checksum failed to catch it. A damaged
+		// entry the engine would serve (its root re-derives to the stored
+		// numbers) must still be the stored plan.
 		if ent, ok := damaged.Get(cn.Fingerprint); ok {
-			if err := planBitsEqual(stored.Plan, ent.Plan); err != nil {
+			if _, err := serveHit(ent, q, stored, opts); err != nil && !errors.Is(err, errNotServed) {
 				return fmt.Errorf("check: corrupted snapshot served a damaged plan: %w", err)
 			}
 		}

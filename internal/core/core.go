@@ -67,8 +67,9 @@ type Options struct {
 	LeftDeep bool
 	// CostThreshold enables §6.4 plan-cost-threshold pruning when > 0: any
 	// relation set whose split-independent cost already exceeds the threshold
-	// has its best-split search skipped wholesale, and any plan costlier than
-	// the threshold is rejected. If optimization fails at the current
+	// has its best-split search skipped wholesale (under κsm, any set but the
+	// full one whose memo exceeds it), and any plan costlier than the
+	// threshold is rejected. If optimization fails at the current
 	// threshold, it is retried with the threshold multiplied by
 	// thresholdGrowth, up to maxPasses passes. 0 disables thresholding.
 	CostThreshold float64
@@ -189,8 +190,12 @@ type Counters struct {
 	// CondHits counts executions of the conditional improves-best block; the
 	// §3.3 statistical argument predicts ≈ (ln2/2)·n·2^n in aggregate.
 	CondHits uint64
-	// ThresholdSkips counts sets whose best-split search was skipped because
-	// κ′ already exceeded the active threshold or overflow limit (§6.3–6.4).
+	// ThresholdSkips counts sets whose best-split search was skipped: κ′
+	// already exceeded the active threshold or overflow limit (§6.3–6.4), or,
+	// under κsm in a pass under a threshold below the overflow limit, the
+	// set is not the full set and its memo |s|(1+ln|s|) exceeds the
+	// threshold, so it can be no operand of a plan within it. Unthresholded
+	// κsm passes skip nothing (κ′sm ≡ 0).
 	ThresholdSkips uint64
 	// Passes is the number of optimization passes run (> 1 only when a
 	// plan-cost threshold forced re-optimization, §6.4).

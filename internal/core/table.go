@@ -41,11 +41,11 @@ type Table struct {
 	n    int
 	full bitset.Set
 
-	model    cost.Model
-	memoized cost.Memoized         // non-nil when model supports table memoization
-	dnl      *cost.DiskNestedLoops // non-nil when model is the dnl model (inlined κ″)
-	naive    bool                  // κ″ ≡ 0 (skip evaluation entirely)
-	hasFan   bool                  // fan column maintained (query has a join graph)
+	kernel
+	hasFan bool // fan column maintained (query has a join graph)
+	// capOperands enables the κsm operand-floor skip for the current pass
+	// (see findBestSplit); fillCosts sets it.
+	capOperands bool
 
 	// card[s] is the §5 intermediate-result cardinality of relation set s.
 	card []float64
@@ -80,6 +80,45 @@ type Table struct {
 	ccpN  int
 }
 
+// kernel is a cost model resolved once for the split loop: the memoized
+// (κsm) and inlined disk-nested-loops fast paths, the κ″ ≡ 0 shortcut, and
+// the generic interface call for every other model. The fill and
+// AnnotatePlan share it, so a re-derived cost takes the fill's arithmetic.
+type kernel struct {
+	model    cost.Model
+	memoized cost.Memoized // non-nil when model supports table memoization
+	dnl      cost.DiskNestedLoops
+	isDNL    bool // model is the dnl model (inlined κ″)
+	naive    bool // κ″ ≡ 0 (skip evaluation entirely)
+	// sortMerge marks κsm, whose κ″ at a parent is the sum of its operands'
+	// memos: the operand-floor skip in findBestSplit rests on it.
+	sortMerge bool
+}
+
+// newKernel resolves model (nil means cost.Naive{}) for the split loop.
+func newKernel(model cost.Model) kernel {
+	if model == nil {
+		model = cost.Naive{}
+	}
+	k := kernel{model: model}
+	if m, ok := model.(cost.Memoized); ok {
+		k.memoized = m
+	}
+	k.dnl, k.isDNL = model.(cost.DiskNestedLoops)
+	_, k.naive = model.(cost.Naive)
+	_, k.sortMerge = model.(cost.SortMerge)
+	return k
+}
+
+// dnlSplitDep is κ″dnl inlined: l·r/(K²(M−1)) + min(l, r)/K.
+func (k *kernel) dnlSplitDep(l, r float64) float64 {
+	m := l
+	if r < l {
+		m = r
+	}
+	return l*r/(k.dnl.K*k.dnl.K*(k.dnl.M-1)) + m/k.dnl.K
+}
+
 // paddedCounters separates per-worker counters onto distinct cache lines.
 type paddedCounters struct {
 	c Counters
@@ -101,31 +140,18 @@ func NewTable(n int, hasGraph bool, model cost.Model) *Table {
 // No column is zeroed: initProperties and fillCosts overwrite every entry a
 // pass reads, so stale values from the previous query are never observed.
 func (t *Table) Reset(n int, hasGraph bool, model cost.Model) {
-	if model == nil {
-		model = cost.Naive{}
-	}
 	size := 1 << uint(n)
 	t.n = n
 	t.full = bitset.Full(n)
-	t.model = model
-	t.memoized = nil
-	t.dnl = nil
-	t.naive = false
+	t.kernel = newKernel(model)
 	t.hasFan = hasGraph
 	t.card = growFloats(t.card, size)
 	t.slot = growSlots(t.slot, size)
 	if hasGraph {
 		t.fan = growFloats(t.fan, size)
 	}
-	if m, ok := model.(cost.Memoized); ok {
-		t.memoized = m
+	if t.memoized != nil {
 		t.memo = growFloats(t.memo, size)
-	}
-	if m, ok := model.(cost.DiskNestedLoops); ok {
-		t.dnl = &m
-	}
-	if _, ok := model.(cost.Naive); ok {
-		t.naive = true
 	}
 	t.ccpN = -1
 }
@@ -307,6 +333,10 @@ func (t *Table) fillCosts(q Query, opts Options, threshold float64, bg *budget) 
 	for i := 0; i < t.n; i++ {
 		t.slot[bitset.Single(i)] = Slot{}
 	}
+	// The operand-floor skip runs only under a threshold below the overflow
+	// limit, so every unthresholded pass, each paper-figure reproduction
+	// among them, stays the paper's algorithm, counters included.
+	t.capOperands = t.sortMerge && threshold < opts.overflowLimit()
 	var conn []uint64
 	if opts.Enumerator == EnumeratorCCP {
 		if err := t.prepareCCP(q, bg); err != nil {
@@ -476,6 +506,14 @@ func fanOut(workers, nchunks int, work func(w, ci int)) {
 // the overflow short-circuit of §6.3 that §6.4 generalizes into explicit
 // plan-cost thresholds.
 //
+// Under κsm, κ′ ≡ 0 and that test never fires, so a pass under a threshold
+// below the overflow limit (capOperands) skips by operand instead: a set
+// s ≠ full whose memo exceeds the threshold can be no operand of a plan
+// within it, because κ″sm at any parent is the sum of its operands' memos
+// (Appendix), which are never negative, and a float sum of nonnegative terms
+// is at least each term. Such a set gets +Inf without its split loop. The
+// full set is no operand; its own plans are judged by the loop.
+//
 // Tie-breaking is deterministic and schedule-independent: among equal-cost
 // splits the numerically lowest LHS set wins. The historical ascending §4.2
 // scan produced that winner implicitly (first strict improvement in
@@ -496,7 +534,8 @@ func (t *Table) findBestSplit(s bitset.Set, opts Options, threshold float64, con
 	// Skip the whole best-split search when κ′ alone already disqualifies
 	// every plan for s: above the active threshold, infinite (cardinality
 	// overflowed even float64), or NaN.
-	if kp > threshold || math.IsInf(kp, 1) || math.IsNaN(kp) {
+	if kp > threshold || math.IsInf(kp, 1) || math.IsNaN(kp) ||
+		(t.capOperands && s != t.full && t.memo[s] > threshold) {
 		c.ThresholdSkips++
 		t.slot[s] = Slot{Cost: math.Inf(1)}
 		return
@@ -686,13 +725,8 @@ func (t *Table) splitDep(outCard float64, lhs, rhs bitset.Set) float64 {
 	if t.memoized != nil {
 		return t.memoized.SplitDepFromMemo(outCard, t.memo[lhs], t.memo[rhs])
 	}
-	if t.dnl != nil {
-		l, r := t.card[lhs], t.card[rhs]
-		m := l
-		if r < l {
-			m = r
-		}
-		return l*r/(t.dnl.K*t.dnl.K*(t.dnl.M-1)) + m/t.dnl.K
+	if t.isDNL {
+		return t.dnlSplitDep(t.card[lhs], t.card[rhs])
 	}
 	return t.model.SplitDep(outCard, t.card[lhs], t.card[rhs])
 }

@@ -169,8 +169,12 @@ func TestSynthesizeTinySelectivity(t *testing.T) {
 // fillInt63n must return rand.Int63n's values for the same seeded stream,
 // value for value, and leave the generator at the same position. The
 // checked-in corpus covers domain 1, powers of two, small odd domains,
-// 2^31±1, 2^62+1 (about half of all draws rejected) and math.MaxInt64.
+// 2^31±1, 2^62+1 (about half of all draws rejected) and math.MaxInt64; the
+// seeds below run the smallest odd domain and the largest, n = 3 and
+// n = 2^63−1, on every plain test run.
 func FuzzSynthesizeDraw(f *testing.F) {
+	f.Add(int64(1), int64(3))
+	f.Add(int64(2), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, seed, domain int64) {
 		if domain <= 0 {
 			t.Skip("Int63n needs a positive domain")

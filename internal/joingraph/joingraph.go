@@ -29,10 +29,11 @@ type Edge struct {
 type Graph struct {
 	n     int
 	edges []Edge
-	// sel[i][j] is the selectivity of the predicate joining i and j, or 1 if
-	// there is none (§5.4: "or to 1 if there is no such predicate"), so the
-	// cardinality recurrences need no presence checks.
-	sel [][]float64
+	// sel[i·n+j] is the selectivity of the predicate joining i and j, or 1
+	// if there is none (§5.4: "or to 1 if there is no such predicate"), so
+	// the cardinality recurrences need no presence checks. One n×n slice,
+	// row-major.
+	sel []float64
 	// adj[i] is the set of neighbours of relation i.
 	adj []bitset.Set
 }
@@ -43,12 +44,9 @@ func New(n int) *Graph {
 	if n < 0 || n > bitset.MaxRelations {
 		panic(fmt.Sprintf("joingraph: n = %d out of range [0,%d]", n, bitset.MaxRelations))
 	}
-	g := &Graph{n: n, sel: make([][]float64, n), adj: make([]bitset.Set, n)}
+	g := &Graph{n: n, sel: make([]float64, n*n), adj: make([]bitset.Set, n)}
 	for i := range g.sel {
-		g.sel[i] = make([]float64, n)
-		for j := range g.sel[i] {
-			g.sel[i][j] = 1
-		}
+		g.sel[i] = 1
 	}
 	return g
 }
@@ -77,8 +75,8 @@ func (g *Graph) AddEdge(a, b int, selectivity float64) error {
 		a, b = b, a
 	}
 	g.edges = append(g.edges, Edge{A: a, B: b, Selectivity: selectivity})
-	g.sel[a][b] = selectivity
-	g.sel[b][a] = selectivity
+	g.sel[a*g.n+b] = selectivity
+	g.sel[b*g.n+a] = selectivity
 	g.adj[a] = g.adj[a].Add(b)
 	g.adj[b] = g.adj[b].Add(a)
 	return nil
@@ -93,7 +91,7 @@ func (g *Graph) MustAddEdge(a, b int, selectivity float64) {
 
 // Selectivity returns the selectivity of the predicate joining a and b, or 1
 // if none exists.
-func (g *Graph) Selectivity(a, b int) float64 { return g.sel[a][b] }
+func (g *Graph) Selectivity(a, b int) float64 { return g.sel[a*g.n+b] }
 
 // HasEdge reports whether a predicate connects a and b.
 func (g *Graph) HasEdge(a, b int) bool { return a != b && g.adj[a].Has(b) }
@@ -136,7 +134,7 @@ func (g *Graph) SpanProduct(u, v bitset.Set) float64 {
 	u.ForEach(func(i int) {
 		cross := g.adj[i].Intersect(v)
 		cross.ForEach(func(j int) {
-			p *= g.sel[i][j]
+			p *= g.sel[i*g.n+j]
 		})
 	})
 	return p

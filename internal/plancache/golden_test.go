@@ -59,11 +59,12 @@ func goldenEntries() []struct {
 }
 
 // TestSnapshotBytesGolden pins the snapshot format byte for byte: a snapshot
-// of goldenEntries must hash to the value recorded when the format was
+// of goldenEntries must hash to the value recorded when version 2 was
 // defined, so no change to how the cache stores plans can drift the bytes a
-// restarted node or a peer of another version reads.
+// restarted node or a peer of the same version reads. The snapshot must also
+// restore every entry's scalars, counters and shape.
 func TestSnapshotBytesGolden(t *testing.T) {
-	const want = "c96bf24e5bba77c300166ccd61c33d2ebd3605b4784ab4ed701761956ed78f10"
+	const want = "1337e8b65a4e94d2320b4ac6064c2b18413cc4908d53c1dde5dbe36b4e4460ef"
 	c := New(1<<20, 1)
 	for _, g := range goldenEntries() {
 		if err := g.e.Plan.Validate(); err != nil {
@@ -78,5 +79,16 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("snapshot of the golden entries hashes to %s, want %s (%d bytes)", got, want, buf.Len())
+	}
+	restored := New(1<<20, 1)
+	if st, err := restored.LoadSnapshot(&buf); err != nil || st.Loaded != len(goldenEntries()) {
+		t.Fatalf("restore: %+v, %v", st, err)
+	}
+	for _, g := range goldenEntries() {
+		got, ok := restored.Get(g.key)
+		if !ok || got.Cost != g.e.Cost || got.Cardinality != g.e.Cardinality || got.Counters != g.e.Counters {
+			t.Fatalf("%q restored as %+v (present %v)", g.key, got, ok)
+		}
+		sameShape(t, g.e.Plan, got.Plan)
 	}
 }

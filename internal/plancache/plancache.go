@@ -6,6 +6,8 @@
 package plancache
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"blitzsplit/internal/bitset"
@@ -20,9 +22,13 @@ const (
 )
 
 // Entry is one cached optimization outcome, in canonical relation numbering.
-// Put copies the plan into the cache's flat storage and keeps no pointer to
-// the caller's tree; Get builds a fresh tree that the caller owns and may
-// rewrite in place. Algorithm names are not stored: cached plans carry none.
+// The cache keeps the plan's shape only: Put copies the tree's relation sets
+// and keeps no pointer to it, and Get builds a fresh tree that the caller
+// owns and may rewrite in place, whose every Card and Cost is zero. The
+// entry's root Cost and Cardinality are kept; the engine re-derives each
+// node's numbers from the canonical query (core.AnnotatePlan) and serves a
+// hit only when its root matches them bit for bit. Algorithm names are not
+// stored: cached plans carry none.
 type Entry struct {
 	Plan        *plan.Node
 	Cost        float64
@@ -60,76 +66,161 @@ type Cache struct {
 	mask   uint64
 }
 
-// record is one plan node as the cache stores it. An entry's records list
-// its plan in preorder, which rebuilds the tree without pointers:
-//   - a node over k relations spans 2k−1 records, itself first;
-//   - its left child is the next record, and its right child, whose set is
-//     the node's set minus the left child's, follows the left child's span;
-//   - a leaf is a singleton set, which names its relation.
+// An entry is stored as one string, its record, which is also its snapshot
+// payload (snapshot.go):
 //
-// At 24 B a node in one allocation per plan, a 13-relation plan takes 640 B
-// of heap instead of the 1,600 B of 25 separately allocated plan.Nodes.
-type record struct {
-	set  bitset.Set
-	card float64
-	cost float64
-}
-
-// stored is an entry as the cache holds it. Its records are never modified
-// once stored (an overwrite replaces the slice), so a copy taken under the
-// shard lock can be read after the lock is released.
-type stored struct {
-	plan     []record // preorder; nil for an entry without a plan
-	cost     float64
-	card     float64
-	counters core.Counters
-}
-
+//	uvarint len(key), key
+//	cost, cardinality     IEEE-754 bits, 8 bytes little-endian each
+//	7 uvarint counters    SubsetsVisited, LoopIters, KppEvals, KpEvals,
+//	                      CondHits, ThresholdSkips, Passes
+//	uvarint root set      0 for an entry without a plan
+//	uvarint left operand  of each join, in preorder
+//
+// The shape rebuilds the tree: a node over a set s that is not a singleton
+// is followed by its left operand l, then l's subtree, then the subtree of
+// s − l; a singleton is a leaf naming its relation. A 13-relation plan under
+// a 400-byte key is a record of about 460 B, one allocation. The map key is
+// the record's key bytes, so the key is not stored twice. Records are
+// never modified once stored (an overwrite replaces the string), so a copy
+// taken under the shard lock can be read after the lock is released.
 type lruNode struct {
-	key string
-	stored
+	rec        string
 	bytes      uint64
 	prev, next *lruNode // intrusive LRU list; head side is most recent
 }
 
-// flatten stores e in the cache's form: its scalars and its plan's preorder
-// records, in one allocation.
-func flatten(e Entry) stored {
-	s := stored{cost: e.Cost, card: e.Cardinality, counters: e.Counters}
-	if e.Plan != nil {
-		s.plan = appendRecords(make([]record, 0, countNodes(e.Plan)), e.Plan)
-	}
-	return s
+// key returns the record's key bytes: the shard map's key for this node.
+func (n *lruNode) key() string { return recordKey(n.rec) }
+
+// recordKey returns the key bytes of a stored record.
+func recordKey(rec string) string {
+	c := cursor[string]{b: rec, ok: true}
+	size := int(c.uvarint())
+	return rec[c.off : c.off+size]
 }
 
-func appendRecords(recs []record, n *plan.Node) []record {
-	recs = append(recs, record{set: n.Set, card: n.Card, cost: n.Cost})
+// appendRecord appends the record of (key, e) to b.
+func appendRecord(b []byte, key string, e Entry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cost))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cardinality))
+	c := e.Counters
+	for _, v := range [...]uint64{c.SubsetsVisited, c.LoopIters, c.KppEvals,
+		c.KpEvals, c.CondHits, c.ThresholdSkips, uint64(c.Passes)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	if e.Plan == nil {
+		return binary.AppendUvarint(b, 0)
+	}
+	return appendShape(binary.AppendUvarint(b, uint64(e.Plan.Set)), e.Plan)
+}
+
+func appendShape(b []byte, n *plan.Node) []byte {
 	if n.IsLeaf() {
-		return recs
+		return b
 	}
-	return appendRecords(appendRecords(recs, n.Left), n.Right)
+	b = binary.AppendUvarint(b, uint64(n.Left.Set))
+	return appendShape(appendShape(b, n.Left), n.Right)
 }
 
-// entry rebuilds the stored entry with a fresh plan tree, one slab of nodes
-// that the caller owns.
-func (s stored) entry() Entry {
-	e := Entry{Cost: s.cost, Cardinality: s.card, Counters: s.counters}
-	if len(s.plan) == 0 {
+// cursor reads a record or a snapshot payload. ok turns false at the first
+// truncated or overlong field and stays false; later reads return zeros.
+type cursor[T ~string | ~[]byte] struct {
+	b   T
+	off int
+	ok  bool
+}
+
+func (c *cursor[T]) uvarint() uint64 {
+	var x uint64
+	for shift := uint(0); c.ok && shift < 64; shift += 7 {
+		if c.off >= len(c.b) {
+			break
+		}
+		b := c.b[c.off]
+		c.off++
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<shift
+		}
+		x |= uint64(b&0x7f) << shift
+	}
+	c.ok = false
+	return 0
+}
+
+func (c *cursor[T]) float() float64 {
+	if !c.ok || len(c.b)-c.off < 8 {
+		c.ok = false
+		return 0
+	}
+	var v uint64
+	for i := 7; i >= 0; i-- {
+		v = v<<8 | uint64(c.b[c.off+i])
+	}
+	c.off += 8
+	return math.Float64frombits(v)
+}
+
+// readRecord reads a record up to its shape: the key, the entry's scalars
+// and counters, and a cursor positioned at the root set. The cursor is not
+// ok when the record is truncated or a field overflows.
+func readRecord[T ~string | ~[]byte](rec T) (key T, e Entry, c cursor[T]) {
+	c = cursor[T]{b: rec, ok: true}
+	size := c.uvarint()
+	if !c.ok || size > uint64(len(rec)-c.off) {
+		c.ok = false
+		return key, e, c
+	}
+	key = rec[c.off : c.off+int(size)]
+	c.off += int(size)
+	e.Cost = c.float()
+	e.Cardinality = c.float()
+	e.Counters.SubsetsVisited = c.uvarint()
+	e.Counters.LoopIters = c.uvarint()
+	e.Counters.KppEvals = c.uvarint()
+	e.Counters.KpEvals = c.uvarint()
+	e.Counters.CondHits = c.uvarint()
+	e.Counters.ThresholdSkips = c.uvarint()
+	if p := c.uvarint(); p <= math.MaxInt32 {
+		e.Counters.Passes = int(p)
+	} else {
+		c.ok = false
+	}
+	return key, e, c
+}
+
+// recordEntry rebuilds a stored entry with a fresh shape-only plan tree,
+// one slab of nodes that the caller owns.
+func recordEntry(rec string) Entry {
+	_, e, c := readRecord(rec)
+	root := bitset.Set(c.uvarint())
+	if root == 0 {
 		return e
 	}
-	slab := make([]plan.Node, len(s.plan))
-	for i, r := range s.plan {
-		n := &slab[i]
-		n.Set, n.Card, n.Cost = r.set, r.card, r.cost
-		if r.set.IsSingleton() {
-			n.Rel = r.set.Min()
-			continue
-		}
-		n.Left = &slab[i+1]
-		n.Right = &slab[i+2*s.plan[i+1].set.Count()]
-	}
+	slab := make([]plan.Node, 2*root.Count()-1)
+	buildShape(slab, 0, root, &c)
 	e.Plan = &slab[0]
 	return e
+}
+
+// buildShape fills slab[i:] with the subtree of set s read from c in
+// preorder and returns the index after it.
+func buildShape(slab []plan.Node, i int, s bitset.Set, c *cursor[string]) int {
+	n := &slab[i]
+	n.Set = s
+	if s.IsSingleton() {
+		n.Rel = s.Min()
+		return i + 1
+	}
+	l := bitset.Set(c.uvarint())
+	n.Left = &slab[i+1]
+	j := buildShape(slab, i+1, l, c)
+	n.Right = &slab[j]
+	return buildShape(slab, j, s^l, c)
 }
 
 type shard struct {
@@ -201,9 +292,9 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	}
 	s.hits++
 	s.moveToFront(n)
-	st := n.stored
+	rec := n.rec
 	s.mu.Unlock()
-	return st.entry(), true
+	return recordEntry(rec), true
 }
 
 // GetBytes is Get for a caller-owned byte-slice key. The map index uses the
@@ -222,22 +313,22 @@ func (c *Cache) GetBytes(key []byte) (Entry, bool) {
 	}
 	s.hits++
 	s.moveToFront(n)
-	st := n.stored
+	rec := n.rec
 	s.mu.Unlock()
-	return st.entry(), true
+	return recordEntry(rec), true
 }
 
-// peek returns what is stored under key without touching recency order or
-// the hit/miss counters — a read with no serving side effects.
-func (c *Cache) peek(key []byte) (stored, bool) {
+// peek returns the record stored under key without touching recency order
+// or the hit/miss counters — a read with no serving side effects.
+func (c *Cache) peek(key []byte) (string, bool) {
 	s := shardFor(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.m[string(key)]
 	if !ok {
-		return stored{}, false
+		return "", false
 	}
-	return n.stored, true
+	return n.rec, true
 }
 
 // Has reports whether an entry is stored under key, with no serving side
@@ -252,14 +343,22 @@ func (c *Cache) Has(key []byte) bool {
 // needed to stay inside the shard's byte budget. An entry that alone exceeds
 // the budget is rejected (counted in Stats.Rejects) rather than flushing the
 // whole shard for a single oversized plan. The plan must be valid
-// (plan.Validate); Put copies it and keeps no pointer to it.
+// (plan.Validate); Put keeps its shape and no pointer to it.
 func (c *Cache) Put(key string, e Entry) { c.put(key, e) }
 
-// put is Put reporting whether the entry was admitted; the snapshot loader
-// uses the signal to classify budget refusals as rejected records.
+// put is Put reporting whether the entry was admitted.
 func (c *Cache) put(key string, e Entry) bool {
-	size := entryBytes(key, e)
-	st := flatten(e)
+	var buf [512]byte
+	rec := string(appendRecord(buf[:0], key, e))
+	return c.putRecord(rec, len(key), countNodes(e.Plan))
+}
+
+// putRecord stores a record whose key is keyLen bytes and whose plan has
+// nodes nodes; the snapshot loader calls it with validated payloads and
+// uses the result to classify budget refusals as rejected records.
+func (c *Cache) putRecord(rec string, keyLen, nodes int) bool {
+	size := meteredBytes(keyLen, nodes)
+	key := recordKey(rec)
 	s := shardFor(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,13 +368,17 @@ func (c *Cache) put(key string, e Entry) bool {
 		return false
 	}
 	if old, ok := s.m[key]; ok {
+		// The map keeps the old node, whose key now aliases the new record
+		// only by value: re-key it so the old record can be collected.
+		delete(s.m, key)
 		s.bytes -= old.bytes
-		old.stored = st
+		old.rec = rec
 		old.bytes = size
+		s.m[key] = old
 		s.bytes += size
 		s.moveToFront(old)
 	} else {
-		n := &lruNode{key: key, stored: st, bytes: size}
+		n := &lruNode{rec: rec, bytes: size}
 		s.m[key] = n
 		s.pushFront(n)
 		s.bytes += size
@@ -283,7 +386,7 @@ func (c *Cache) put(key string, e Entry) bool {
 	for s.bytes > s.maxBytes && s.tail != nil {
 		victim := s.tail
 		s.unlink(victim)
-		delete(s.m, victim.key)
+		delete(s.m, victim.key())
 		s.bytes -= victim.bytes
 		s.evicts++
 	}
@@ -385,14 +488,16 @@ func (s *shard) moveToBack(n *lruNode) {
 // entryBytes estimates an entry's resident size: the key string, the plan
 // at 96 B per node, and fixed map/list bookkeeping. The estimate is what the
 // byte budget meters. It dates from plans stored as trees of 64-byte Nodes
-// and now counts about twice the 24-byte records the cache holds; it is kept
-// so a given byte budget admits the same entries it always has.
-func entryBytes(key string, e Entry) uint64 {
+// and now counts about five times the shape-only record the cache holds; it
+// is kept so a given byte budget admits the same entries it always has.
+func entryBytes(key string, e Entry) uint64 { return meteredBytes(len(key), countNodes(e.Plan)) }
+
+func meteredBytes(keyLen, nodes int) uint64 {
 	const (
 		nodeBytes  = 96  // plan.Node (64 B) plus allocator/pointer overhead
 		fixedBytes = 160 // lruNode, map slot, string header
 	)
-	return uint64(len(key)) + fixedBytes + uint64(countNodes(e.Plan))*nodeBytes
+	return uint64(keyLen) + fixedBytes + uint64(nodes)*nodeBytes
 }
 
 func countNodes(n *plan.Node) int {

@@ -4,11 +4,14 @@
 // truncation, bit flips, version skew, garbage — degrades to a cold or
 // partial cache, never to an error exit and never to a poisoned hit:
 //
-//	header  "bzsnap1\x00"                          8 bytes, format version
+//	header  "bzsnap2\x00"                          8 bytes, format version
 //	record  uvarint payloadLen                     framing
-//	        payload                                see encodeEntry
+//	        payload                                an entry's stored record
 //	        uint32 CRC-32C(payload), little-endian integrity
 //	...repeated until EOF
+//
+// A payload is the record the cache holds for the entry (see lruNode): key,
+// root cost and cardinality, counters and the plan's shape.
 //
 // Every record is independently checksummed and independently decodable, so
 // the loader admits exactly the records whose checksum and structural
@@ -29,25 +32,19 @@ import (
 
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/faultinject"
-	"blitzsplit/internal/plan"
 )
 
 // snapshotMagic identifies the snapshot format and its version. A future
 // incompatible codec bumps the digit; a loader seeing an unknown header
 // treats the whole file as version skew and restores nothing.
-const snapshotMagic = "bzsnap1\x00"
+const snapshotMagic = "bzsnap2\x00"
 
-// MaxSnapshotRecord bounds one record's payload. Real entries are tiny (a
-// plan at the representation's n=30 limit is 59 nodes, well under a
-// kilobyte), so a length beyond this is either corruption of the length
-// field itself or an oversized record from a foreign writer; both lose the
-// framing and end the restore.
+// MaxSnapshotRecord bounds one record's payload. Real entries are tiny (the
+// shape of a plan at the representation's n=30 limit is 30 uvarints), so a
+// length beyond this is either corruption of the length field itself or an
+// oversized record from a foreign writer; both lose the framing and end the
+// restore.
 const MaxSnapshotRecord = 1 << 20
-
-// maxSnapshotPlanNodes bounds the decoded plan tree. A valid plan over
-// bitset.MaxRelations relations has at most 2·30−1 nodes; the slack admits
-// future growth without letting a crafted record allocate unboundedly.
-const maxSnapshotPlanNodes = 4 * bitset.MaxRelations
 
 // WriteStats reports what WriteSnapshot persisted.
 type WriteStats struct {
@@ -89,8 +86,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // WriteSnapshot serializes every resident entry to w. Entries are collected
 // shard by shard under each shard's lock — concurrent traffic keeps flowing
-// between shards — and encoded outside it (plan records are immutable once
-// cached, so only the key/scalar copy needs the lock). Within a shard,
+// between shards — and written outside it (records are immutable once
+// cached, so only the string header copy needs the lock). Within a shard,
 // entries are written least-recently-used first, so a sequential
 // LoadSnapshot restores the recency order along with the contents.
 //
@@ -113,36 +110,23 @@ func (c *Cache) WriteSnapshotFiltered(w io.Writer, keep func(key string) bool) (
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return st, err
 	}
-	var scratch []byte
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		entries := make([]*lruNode, 0, len(s.m))
+		// The nodes stay owned by the shard; copy the records out before
+		// unlocking so eviction cannot race the write.
+		recs := make([]string, 0, len(s.m))
 		for n := s.tail; n != nil; n = n.prev {
-			entries = append(entries, n)
-		}
-		// The nodes themselves stay owned by the shard; copy the key and
-		// entry out before unlocking so eviction cannot race the encode.
-		copies := make([]struct {
-			key string
-			e   stored
-		}, 0, len(entries))
-		for _, n := range entries {
-			if keep != nil && !keep(n.key) {
-				continue
+			if keep == nil || keep(n.key()) {
+				recs = append(recs, n.rec)
 			}
-			copies = append(copies, struct {
-				key string
-				e   stored
-			}{n.key, n.stored})
 		}
 		s.mu.Unlock()
-		for _, ent := range copies {
+		for _, rec := range recs {
 			if err := faultinject.InjectErr(faultinject.SnapshotWriteRecord); err != nil {
 				return st, err
 			}
-			var err error
-			if scratch, err = writeRecord(bw, scratch, ent.key, ent.e); err != nil {
+			if err := writeRecord(bw, rec); err != nil {
 				return st, err
 			}
 			st.Entries++
@@ -162,7 +146,7 @@ func (c *Cache) WriteSnapshotFiltered(w io.Writer, keep func(key string) bool) (
 // degrades to a no-op exactly like a damaged snapshot. The read takes no
 // serving side effects.
 func (c *Cache) WriteEntry(w io.Writer, key []byte) (bool, WriteStats, error) {
-	e, ok := c.peek(key)
+	rec, ok := c.peek(key)
 	var st WriteStats
 	if !ok {
 		return false, st, nil
@@ -172,7 +156,7 @@ func (c *Cache) WriteEntry(w io.Writer, key []byte) (bool, WriteStats, error) {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return true, st, err
 	}
-	if _, err := writeRecord(bw, nil, string(key), e); err != nil {
+	if err := writeRecord(bw, rec); err != nil {
 		return true, st, err
 	}
 	st.Entries = 1
@@ -183,61 +167,22 @@ func (c *Cache) WriteEntry(w io.Writer, key []byte) (bool, WriteStats, error) {
 	return true, st, nil
 }
 
-// writeRecord frames and checksums one encoded entry, returning the (possibly
-// regrown) scratch buffer for reuse.
-func writeRecord(bw *bufio.Writer, scratch []byte, key string, e stored) ([]byte, error) {
-	scratch = encodeEntry(scratch[:0], key, e)
+// writeRecord frames and checksums one stored record.
+func writeRecord(bw *bufio.Writer, rec string) error {
 	var frame [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(frame[:binary.PutUvarint(frame[:], uint64(len(scratch)))]); err != nil {
-		return scratch, err
+	if _, err := bw.Write(frame[:binary.PutUvarint(frame[:], uint64(len(rec)))]); err != nil {
+		return err
 	}
-	if _, err := bw.Write(scratch); err != nil {
-		return scratch, err
+	if _, err := bw.WriteString(rec); err != nil {
+		return err
 	}
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(scratch, crcTable))
-	if _, err := bw.Write(sum[:]); err != nil {
-		return scratch, err
-	}
-	return scratch, nil
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(0, crcTable, []byte(rec)))
+	_, err := bw.Write(sum[:])
+	return err
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeEntry appends one entry's payload: the cache key, the scalar
-// bookkeeping, and the plan in preorder, straight from the stored records.
-// Leaves carry (rel, card); inner nodes carry (card, cost, algorithm name).
-// Relation sets are not written — they are derivable (and re-derived on
-// load, then cross-checked by plan.Validate). Cached plans carry no
-// algorithm names, so every name is written as length 0. Floats are
-// fixed-width IEEE bits so the restore is bit-identical; counts are
-// uvarints.
-func encodeEntry(b []byte, key string, e stored) []byte {
-	b = binary.AppendUvarint(b, uint64(len(key)))
-	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.cost))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.card))
-	b = binary.AppendUvarint(b, e.counters.SubsetsVisited)
-	b = binary.AppendUvarint(b, e.counters.LoopIters)
-	b = binary.AppendUvarint(b, e.counters.KppEvals)
-	b = binary.AppendUvarint(b, e.counters.KpEvals)
-	b = binary.AppendUvarint(b, e.counters.CondHits)
-	b = binary.AppendUvarint(b, e.counters.ThresholdSkips)
-	b = binary.AppendUvarint(b, uint64(e.counters.Passes))
-	for _, r := range e.plan {
-		if r.set.IsSingleton() {
-			b = append(b, 0)
-			b = binary.AppendUvarint(b, uint64(r.set.Min()))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.card))
-			continue
-		}
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.card))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.cost))
-		b = binary.AppendUvarint(b, 0) // algorithm name length
-	}
-	return b
-}
 
 // errCorrupt marks payload-level decode failures inside LoadSnapshot; the
 // record is skipped, never surfaced.
@@ -252,12 +197,10 @@ var errCorrupt = errors.New("plancache: corrupt snapshot record")
 // entries already restored remain valid, so every failure mode yields a
 // working cold-or-partial cache.
 //
-// Structural validation (plan.Validate plus relation-index bounds) runs on
-// every record before it is admitted: a record whose checksum passes but
-// whose content could poison a hit — a malformed tree, NaN bookkeeping — is
-// skipped like any other corruption. So is a record that names a join
-// algorithm: the cache stores none, so only a foreign or crafted writer
-// produces one.
+// Structural validation runs on every record before it is admitted: a
+// record whose checksum passes but whose content could poison a hit — a
+// malformed shape, NaN or negative bookkeeping, trailing bytes — is skipped
+// like any other corruption.
 func (c *Cache) LoadSnapshot(r io.Reader) (LoadStats, error) {
 	var st LoadStats
 	br := bufio.NewReader(r)
@@ -318,12 +261,12 @@ func (c *Cache) LoadSnapshot(r io.Reader) (LoadStats, error) {
 			st.Skipped++
 			continue
 		}
-		key, entry, err := decodeEntry(payload)
+		keyLen, nodes, err := checkRecord(payload)
 		if err != nil {
 			st.Skipped++
 			continue
 		}
-		if !c.put(key, entry) {
+		if !c.putRecord(string(payload), keyLen, nodes) {
 			st.Rejected++ // beyond the shard's byte budget
 			continue
 		}
@@ -377,141 +320,39 @@ func readFault(err error) error {
 	return err
 }
 
-// decodeEntry parses one checksum-verified payload back into (key, Entry),
-// validating everything a poisoned hit could ride in on.
-func decodeEntry(b []byte) (string, Entry, error) {
-	var e Entry
-	d := decoder{b: b}
-	klen := d.uvarint()
-	if d.err != nil || klen == 0 || klen > uint64(len(d.b)) {
-		return "", e, errCorrupt
-	}
-	key := string(d.bytes(int(klen)))
-	e.Cost = d.float()
-	e.Cardinality = d.float()
-	e.Counters.SubsetsVisited = d.uvarint()
-	e.Counters.LoopIters = d.uvarint()
-	e.Counters.KppEvals = d.uvarint()
-	e.Counters.KpEvals = d.uvarint()
-	e.Counters.CondHits = d.uvarint()
-	e.Counters.ThresholdSkips = d.uvarint()
-	passes := d.uvarint()
-	if d.err != nil || passes > math.MaxInt32 {
-		return "", e, errCorrupt
-	}
-	e.Counters.Passes = int(passes)
-	nodes := 0
-	e.Plan = d.plan(&nodes)
-	if d.err != nil || d.off != len(d.b) {
-		return "", e, errCorrupt
+// checkRecord validates one checksum-verified payload as a stored record,
+// everything a poisoned hit could ride in on, and returns its key length and
+// plan node count. The key is nonempty; the cost and cardinality are not NaN
+// or negative; the shape is a tree whose root is a nonempty set of at most
+// bitset.MaxRelations relations and whose every left operand is a nonempty
+// proper subset of its node's set; and nothing follows the shape.
+func checkRecord(b []byte) (keyLen, nodes int, err error) {
+	key, e, c := readRecord(b)
+	root := bitset.Set(c.uvarint())
+	if !c.ok || len(key) == 0 || root == 0 || root >= 1<<bitset.MaxRelations {
+		return 0, 0, errCorrupt
 	}
 	if math.IsNaN(e.Cost) || math.IsNaN(e.Cardinality) || e.Cost < 0 || e.Cardinality < 0 {
-		return "", e, errCorrupt
+		return 0, 0, errCorrupt
 	}
-	if err := e.Plan.Validate(); err != nil {
-		return "", e, errCorrupt
+	if !checkShape(&c, root) || c.off != len(b) {
+		return 0, 0, errCorrupt
 	}
-	return key, e, nil
+	return len(key), 2*root.Count() - 1, nil
 }
 
-// decoder is a cursor over one payload with sticky error state.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = errCorrupt
+// checkShape reads the subtree of s in preorder, reporting whether every
+// left operand is a nonempty proper subset of its node's set. Sets shrink
+// at every level, so the recursion is at most bitset.MaxRelations deep.
+func checkShape(c *cursor[[]byte], s bitset.Set) bool {
+	if s.IsSingleton() {
+		return true
 	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	l := bitset.Set(c.uvarint())
+	if !c.ok || l == 0 || l == s || l&^s != 0 {
+		return false
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) float() float64 {
-	b := d.bytes(8)
-	if d.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-// plan decodes one tree preorder, rebuilding relation sets bottom-up and
-// bounding both node count and relation indexes so a crafted payload cannot
-// allocate unboundedly or panic the bitset constructors.
-func (d *decoder) plan(nodes *int) *plan.Node {
-	if d.err != nil {
-		return nil
-	}
-	*nodes++
-	if *nodes > maxSnapshotPlanNodes {
-		d.fail()
-		return nil
-	}
-	tag := d.bytes(1)
-	if d.err != nil {
-		return nil
-	}
-	switch tag[0] {
-	case 0:
-		rel := d.uvarint()
-		if d.err != nil || rel >= bitset.MaxRelations {
-			d.fail()
-			return nil
-		}
-		card := d.float()
-		if d.err != nil {
-			return nil
-		}
-		return &plan.Node{Set: bitset.Single(int(rel)), Rel: int(rel), Card: card}
-	case 1:
-		card := d.float()
-		cost := d.float()
-		if alen := d.uvarint(); d.err != nil || alen != 0 {
-			d.fail()
-			return nil
-		}
-		left := d.plan(nodes)
-		right := d.plan(nodes)
-		if d.err != nil {
-			return nil
-		}
-		return &plan.Node{
-			Set:   left.Set | right.Set,
-			Card:  card,
-			Cost:  cost,
-			Left:  left,
-			Right: right,
-		}
-	default:
-		d.fail()
-		return nil
-	}
+	return checkShape(c, l) && checkShape(c, s^l)
 }
 
 // String renders load stats for logs: "loaded 12 (skipped 1, rejected 0)".

@@ -12,8 +12,11 @@ import (
 // peekEntry is Get without its serving side effects: recency order and the
 // hit/miss counters stay as they are.
 func peekEntry(c *Cache, key string) (Entry, bool) {
-	st, ok := c.peek([]byte(key))
-	return st.entry(), ok
+	rec, ok := c.peek([]byte(key))
+	if !ok {
+		return Entry{}, false
+	}
+	return recordEntry(rec), true
 }
 
 // pipeStream writes the snapshot of src into one end of a net.Pipe while

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/core"
 	"blitzsplit/internal/faultinject"
 	"blitzsplit/internal/plan"
@@ -139,11 +140,11 @@ func TestSnapshotRestoresRecency(t *testing.T) {
 	// longer than key 1 (older).
 	s := &dst.shards[0]
 	s.mu.Lock()
-	if s.head.key != keys[0] {
-		t.Errorf("MRU after restore = %s, want %s", s.head.key, keys[0])
+	if s.head.key() != keys[0] {
+		t.Errorf("MRU after restore = %s, want %s", s.head.key(), keys[0])
 	}
-	if s.tail.key != keys[1] {
-		t.Errorf("LRU after restore = %s, want %s", s.tail.key, keys[1])
+	if s.tail.key() != keys[1] {
+		t.Errorf("LRU after restore = %s, want %s", s.tail.key(), keys[1])
 	}
 	s.mu.Unlock()
 }
@@ -272,40 +273,51 @@ func TestSnapshotLoadCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestSnapshotLoadRejectsAlgorithmName: the cache stores no join algorithm
-// names and writes every name as length 0, so a checksummed record that
-// names one comes only from a foreign or crafted writer and is skipped as
-// corrupt. The same record with an empty name loads.
-func TestSnapshotLoadRejectsAlgorithmName(t *testing.T) {
-	record := func(alg string) []byte {
+// TestSnapshotLoadRejectsMalformedShape: a checksummed record loads only
+// when its shape is a tree over at most bitset.MaxRelations relations whose
+// every left operand is a nonempty proper subset of its node's set, with
+// nothing after it. Anything else comes from a foreign or crafted writer and
+// is skipped as corrupt.
+func TestSnapshotLoadRejectsMalformedShape(t *testing.T) {
+	record := func(shape ...uint64) []byte {
 		var p []byte
 		p = binary.AppendUvarint(p, 1)
 		p = append(p, 'k')
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
 		p = append(p, make([]byte, 7)...) // seven zero counters
-		p = append(p, 1)                  // inner node: card, cost, name
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(6))
-		p = binary.AppendUvarint(p, uint64(len(alg)))
-		p = append(p, alg...)
-		for rel, card := range []float64{2, 3} { // two leaves: rel, card
-			p = append(p, 0)
-			p = binary.AppendUvarint(p, uint64(rel))
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(card))
+		for _, v := range shape {
+			p = binary.AppendUvarint(p, v)
 		}
 		out := append([]byte(snapshotMagic), binary.AppendUvarint(nil, uint64(len(p)))...)
 		out = append(out, p...)
 		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, crcTable))
 	}
 	for _, tc := range []struct {
-		alg             string
-		loaded, skipped int
-	}{{"", 1, 0}, {"naive", 0, 1}} {
+		name   string
+		shape  []uint64
+		loaded int
+	}{
+		{"join of two leaves", []uint64{0b11, 0b01}, 1},
+		{"bushy", []uint64{0b1111, 0b0101, 0b0001, 0b0010}, 1},
+		{"single relation", []uint64{0b100}, 1},
+		{"no plan", []uint64{0}, 0},
+		{"root beyond the relation limit", []uint64{1 << 30}, 0},
+		{"left operand outside its node", []uint64{0b11, 0b100}, 0},
+		{"left operand is the whole node", []uint64{0b11, 0b11}, 0},
+		{"empty left operand", []uint64{0b11, 0}, 0},
+		{"shape cut short", []uint64{0b111, 0b011}, 0},
+		{"bytes after the shape", []uint64{0b11, 0b01, 0b01}, 0},
+	} {
 		c := New(1<<20, 1)
-		st, err := c.LoadSnapshot(bytes.NewReader(record(tc.alg)))
-		if err != nil || st.Loaded != tc.loaded || st.Skipped != tc.skipped {
-			t.Errorf("name %q: stats %+v err %v, want %d loaded, %d skipped", tc.alg, st, err, tc.loaded, tc.skipped)
+		st, err := c.LoadSnapshot(bytes.NewReader(record(tc.shape...)))
+		if err != nil || st.Loaded != tc.loaded || st.Skipped != 1-tc.loaded {
+			t.Errorf("%s: stats %+v err %v, want %d loaded", tc.name, st, err, tc.loaded)
+		}
+		if e, ok := c.Get("k"); ok {
+			if err := e.Plan.Validate(); err != nil || e.Plan.Set != bitset.Set(tc.shape[0]) {
+				t.Errorf("%s: loaded plan %v (%v)", tc.name, e.Plan, err)
+			}
 		}
 	}
 }

@@ -101,10 +101,61 @@ func Parse(data []byte) (*File, error) {
 // Validate checks the spec's semantic constraints and returns an error
 // wrapping one of the typed sentinels above on the first violation. Parse
 // calls it automatically; call it directly on File values assembled in code.
+//
+// Up to scanLimit relations it scans the decoded slices and allocates
+// nothing; above it, it indexes names and pairs in maps so that a body of
+// thousands of relations stays linear. Both paths report the same first
+// violation with the same text.
 func (f *File) Validate() error {
 	if len(f.Relations) == 0 {
 		return ErrNoRelations
 	}
+	if len(f.Relations) > scanLimit {
+		return f.validateIndexed()
+	}
+	for i, r := range f.Relations {
+		if r.Name == "" {
+			return ErrBadName
+		}
+		for _, prev := range f.Relations[:i] {
+			if prev.Name == r.Name {
+				return fmt.Errorf("%w: %q", ErrDuplicateRelation, r.Name)
+			}
+		}
+		if err := r.check(); err != nil {
+			return err
+		}
+	}
+	// seen[a] has bit b set once a join on the pair {a, b} was accepted.
+	var seen [scanLimit]uint64
+	for _, j := range f.Joins {
+		a, b := f.index(j.A), f.index(j.B)
+		if a < 0 {
+			return fmt.Errorf("%w: %q", ErrUnknownRelation, j.A)
+		}
+		if b < 0 {
+			return fmt.Errorf("%w: %q", ErrUnknownRelation, j.B)
+		}
+		if err := j.check(); err != nil {
+			return err
+		}
+		if seen[a]&(1<<uint(b)) != 0 {
+			return j.duplicate()
+		}
+		seen[a] |= 1 << uint(b)
+		seen[b] |= 1 << uint(a)
+	}
+	return nil
+}
+
+// scanLimit is the relation count up to which Validate scans instead of
+// building maps: the join pairs of up to 64 relations fit in a 64×64 bit
+// matrix on the stack. A 1 MiB body can hold about 20,000 relations, where
+// scans would be quadratic.
+const scanLimit = 64
+
+// validateIndexed is Validate with names and join pairs indexed in maps.
+func (f *File) validateIndexed() error {
 	names := make(map[string]bool, len(f.Relations))
 	for _, r := range f.Relations {
 		if r.Name == "" {
@@ -114,11 +165,8 @@ func (f *File) Validate() error {
 			return fmt.Errorf("%w: %q", ErrDuplicateRelation, r.Name)
 		}
 		names[r.Name] = true
-		if r.Cardinality < 0 || math.IsNaN(r.Cardinality) || math.IsInf(r.Cardinality, 0) {
-			return fmt.Errorf("%w: relation %q has cardinality %v", ErrBadCardinality, r.Name, r.Cardinality)
-		}
-		if r.Width < 0 {
-			return fmt.Errorf("%w: relation %q has width %d", ErrBadWidth, r.Name, r.Width)
+		if err := r.check(); err != nil {
+			return err
 		}
 	}
 	type pair struct{ a, b string }
@@ -130,23 +178,63 @@ func (f *File) Validate() error {
 		if !names[j.B] {
 			return fmt.Errorf("%w: %q", ErrUnknownRelation, j.B)
 		}
-		if j.A == j.B {
-			return fmt.Errorf("%w: %q", ErrSelfJoin, j.A)
-		}
-		// !(x > 0 && x ≤ 1) also catches NaN, which fails every comparison.
-		if !(j.Selectivity > 0 && j.Selectivity <= 1) {
-			return fmt.Errorf("%w: join %s-%s has selectivity %v", ErrBadSelectivity, j.A, j.B, j.Selectivity)
+		if err := j.check(); err != nil {
+			return err
 		}
 		key := pair{j.A, j.B}
 		if j.B < j.A {
 			key = pair{j.B, j.A}
 		}
 		if joins[key] {
-			return fmt.Errorf("%w: %s-%s", ErrDuplicateJoin, key.a, key.b)
+			return j.duplicate()
 		}
 		joins[key] = true
 	}
 	return nil
+}
+
+// index returns the position of the relation named name, or −1.
+func (f *File) index(name string) int {
+	for i, r := range f.Relations {
+		if r.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// check validates a relation's cardinality and width.
+func (r Relation) check() error {
+	if r.Cardinality < 0 || math.IsNaN(r.Cardinality) || math.IsInf(r.Cardinality, 0) {
+		return fmt.Errorf("%w: relation %q has cardinality %v", ErrBadCardinality, r.Name, r.Cardinality)
+	}
+	if r.Width < 0 {
+		return fmt.Errorf("%w: relation %q has width %d", ErrBadWidth, r.Name, r.Width)
+	}
+	return nil
+}
+
+// check validates a join on two known relations: no self-join, and a
+// selectivity in (0, 1].
+func (j Join) check() error {
+	if j.A == j.B {
+		return fmt.Errorf("%w: %q", ErrSelfJoin, j.A)
+	}
+	// !(x > 0 && x ≤ 1) also catches NaN, which fails every comparison.
+	if !(j.Selectivity > 0 && j.Selectivity <= 1) {
+		return fmt.Errorf("%w: join %s-%s has selectivity %v", ErrBadSelectivity, j.A, j.B, j.Selectivity)
+	}
+	return nil
+}
+
+// duplicate is the error for a second join on j's pair, naming the pair in
+// string order.
+func (j Join) duplicate() error {
+	a, b := j.A, j.B
+	if b < a {
+		a, b = b, a
+	}
+	return fmt.Errorf("%w: %s-%s", ErrDuplicateJoin, a, b)
 }
 
 // Load reads and parses a spec file from disk.

@@ -287,3 +287,91 @@ func TestDuplicateJoinVariants(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateScanMatchesIndexed runs every error case through both of
+// Validate's paths: as written (at most 64 relations, the scans) and with
+// 65 valid relations appended (the maps). Appended relations are valid and
+// precede every join, so the first violation stays the same; both paths
+// must report it with the same kind and text.
+func TestValidateScanMatchesIndexed(t *testing.T) {
+	rel := func(name string) Relation { return Relation{Name: name, Cardinality: 10} }
+	ab := []Relation{rel("A"), rel("B")}
+	abc := []Relation{rel("A"), rel("B"), rel("C")}
+	edge := func(a, b string, sel float64) Join { return Join{A: a, B: b, Selectivity: sel} }
+	wide := make([]Relation, scanLimit)
+	for i := range wide {
+		wide[i] = rel(fmt.Sprintf("w%02d", i))
+	}
+	cases := []struct {
+		name string
+		file File
+		want error
+	}{
+		{"valid", File{Relations: abc, Joins: []Join{edge("A", "B", 0.1), edge("C", "B", 1)}}, nil},
+		{"empty name", File{Relations: []Relation{rel("")}}, ErrBadName},
+		{"empty name after a valid one", File{Relations: []Relation{rel("A"), rel("")}}, ErrBadName},
+		{"duplicate relation", File{Relations: []Relation{rel("A"), rel("B"), rel("A")}}, ErrDuplicateRelation},
+		{"duplicate before its bad cardinality",
+			File{Relations: []Relation{rel("A"), {Name: "A", Cardinality: -1}}}, ErrDuplicateRelation},
+		{"negative cardinality", File{Relations: []Relation{{Name: "A", Cardinality: -1}}}, ErrBadCardinality},
+		{"NaN cardinality", File{Relations: []Relation{{Name: "A", Cardinality: math.NaN()}}}, ErrBadCardinality},
+		{"+Inf cardinality", File{Relations: []Relation{rel("A"), {Name: "B", Cardinality: math.Inf(1)}}}, ErrBadCardinality},
+		{"negative width", File{Relations: []Relation{{Name: "A", Cardinality: 1, Width: -8}}}, ErrBadWidth},
+		{"relation error before join error",
+			File{Relations: []Relation{rel("A"), {Name: "B", Width: -1}}, Joins: []Join{edge("A", "Z", 0.1)}}, ErrBadWidth},
+		{"unknown left", File{Relations: ab, Joins: []Join{edge("Z", "B", 0.1)}}, ErrUnknownRelation},
+		{"unknown right", File{Relations: ab, Joins: []Join{edge("A", "Z", 0.1)}}, ErrUnknownRelation},
+		{"both unknown", File{Relations: ab, Joins: []Join{edge("Y", "Z", 0.1)}}, ErrUnknownRelation},
+		{"unknown before self-join", File{Relations: ab, Joins: []Join{edge("Z", "Z", 0.1)}}, ErrUnknownRelation},
+		{"self-join", File{Relations: ab, Joins: []Join{edge("A", "A", 0.1)}}, ErrSelfJoin},
+		{"self-join before bad selectivity", File{Relations: ab, Joins: []Join{edge("B", "B", 2)}}, ErrSelfJoin},
+		{"zero selectivity", File{Relations: ab, Joins: []Join{edge("A", "B", 0)}}, ErrBadSelectivity},
+		{"selectivity above one", File{Relations: ab, Joins: []Join{edge("A", "B", 1.5)}}, ErrBadSelectivity},
+		{"NaN selectivity", File{Relations: ab, Joins: []Join{edge("A", "B", math.NaN())}}, ErrBadSelectivity},
+		{"duplicate join", File{Relations: ab, Joins: []Join{edge("A", "B", 0.1), edge("A", "B", 0.2)}}, ErrDuplicateJoin},
+		{"duplicate join reversed", File{Relations: ab, Joins: []Join{edge("B", "A", 0.1), edge("A", "B", 0.2)}}, ErrDuplicateJoin},
+		{"duplicate join after another",
+			File{Relations: abc, Joins: []Join{edge("C", "B", 0.1), edge("A", "C", 0.5), edge("B", "C", 0.2)}}, ErrDuplicateJoin},
+		{"bad selectivity before duplicate",
+			File{Relations: ab, Joins: []Join{edge("A", "B", 0.1), edge("B", "A", 7)}}, ErrBadSelectivity},
+		{"64 relations, duplicate on the last and first",
+			File{Relations: wide, Joins: []Join{edge("w63", "w00", 0.1), edge("w00", "w63", 0.1)}}, ErrDuplicateJoin},
+		{"64 relations, distinct pairs",
+			File{Relations: wide, Joins: []Join{edge("w63", "w00", 0.1), edge("w63", "w01", 0.1), edge("w62", "w00", 0.1)}}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if len(tc.file.Relations) > scanLimit {
+				t.Fatalf("case has %d relations; the scan path takes at most %d", len(tc.file.Relations), scanLimit)
+			}
+			padded := tc.file
+			padded.Relations = append(append([]Relation(nil), tc.file.Relations...), make([]Relation, scanLimit+1)...)
+			for i := range padded.Relations[len(tc.file.Relations):] {
+				padded.Relations[len(tc.file.Relations)+i] = rel(fmt.Sprintf("pad%02d", i))
+			}
+			scan, indexed := tc.file.Validate(), padded.Validate()
+			if !errors.Is(scan, tc.want) || (tc.want == nil) != (scan == nil) {
+				t.Fatalf("scan path: %v, want %v", scan, tc.want)
+			}
+			if fmt.Sprint(scan) != fmt.Sprint(indexed) {
+				t.Fatalf("scan path says %v, indexed path says %v", scan, indexed)
+			}
+		})
+	}
+	if err := (&File{}).Validate(); err != ErrNoRelations {
+		t.Fatalf("empty file: %v", err)
+	}
+}
+
+// TestValidateAllocs: a valid spec of up to 64 relations validates without
+// allocating.
+func TestValidateAllocs(t *testing.T) {
+	f := Example()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate allocated %v times per call", allocs)
+	}
+}

@@ -143,31 +143,54 @@ func (q *Query) buildUncached() (core.Query, error) {
 	}
 	var g *joingraph.Graph
 	if len(q.edges) > 0 {
-		type pair struct{ a, b int }
-		groups := make(map[pair][]float64, len(q.edges))
-		var order []pair
+		// First pass: check every selectivity, and mark each relation pair
+		// (low, high) as declared once, then as repeated.
+		var once, again [bitset.MaxRelations]bitset.Set
 		for _, e := range q.edges {
 			if !(e.selectivity > 0 && e.selectivity <= 1) {
 				return core.Query{}, fmt.Errorf(
 					"blitzsplit: join %s⋈%s selectivity %v is outside (0, 1]", q.names[e.a], q.names[e.b], e.selectivity)
 			}
-			k := pair{e.a, e.b}
-			if e.b < e.a {
-				k = pair{e.b, e.a}
+			a, b := e.pair()
+			if once[a].Has(b) {
+				again[a] = again[a].Add(b)
 			}
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], e.selectivity)
+			once[a] = once[a].Add(b)
 		}
+		// Second pass: add each pair where it is first declared; only a
+		// repeated pair scans the rest of the list for its selectivities.
 		g = joingraph.New(n)
-		for _, k := range order {
-			if err := g.AddEdge(k.a, k.b, canon.FoldSelectivities(groups[k])); err != nil {
+		var added [bitset.MaxRelations]bitset.Set
+		for i, e := range q.edges {
+			a, b := e.pair()
+			if added[a].Has(b) {
+				continue
+			}
+			added[a] = added[a].Add(b)
+			sel := e.selectivity
+			if again[a].Has(b) {
+				var sels []float64
+				for _, f := range q.edges[i:] {
+					if fa, fb := f.pair(); fa == a && fb == b {
+						sels = append(sels, f.selectivity)
+					}
+				}
+				sel = canon.FoldSelectivities(sels)
+			}
+			if err := g.AddEdge(a, b, sel); err != nil {
 				return core.Query{}, err
 			}
 		}
 	}
 	return core.Query{Cards: q.cards[:n:n], Graph: g}, nil
+}
+
+// pair returns the predicate's endpoints, lower index first.
+func (e edgeSpec) pair() (int, int) {
+	if e.b < e.a {
+		return e.b, e.a
+	}
+	return e.a, e.b
 }
 
 // Synthesize materializes an in-memory database instance matching the

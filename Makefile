@@ -48,8 +48,10 @@ race:
 
 # Looped race-detector runs of the resource-governance and serving paths:
 # cancellation mid-fill, goroutine-leak settling, memory admission, table
-# reuse after a budget stop, every degradation-ladder rung, and the
-# concurrent Engine (sharded plan cache + pooled arena under mixed load).
+# reuse after a budget stop, every degradation-ladder rung, the
+# concurrent Engine (sharded plan cache + pooled arena under mixed load),
+# and the execution free lists (key-column slabs and executors reused by
+# concurrent synthesize–run–release loops).
 # -count defeats test caching so each loop re-races the watcher/worker
 # shutdown and the cache/arena locking.
 stress:
@@ -60,8 +62,8 @@ stress:
 		-run 'FuzzEnumerators|CCP|Seeded|OperandFloor|CacheFaithful|SnapshotFaithful' \
 		./internal/check/ ./internal/core/
 	$(GO) test -race -timeout 600s -count=5 \
-		-run 'ValidateScan|FuzzSynthesizeDraw' \
-		./internal/spec/ ./internal/engine/
+		-run 'ValidateScan|FuzzSynthesizeDraw|Release|Concurrent' \
+		./internal/spec/ ./internal/engine/ ./internal/freelist/
 	$(GO) test -race -timeout 600s -count=5 \
 		-run 'Stress|Coalesc|Drain|Shed|Overload|Snapshot|Panic|Quarantine|Write|Probe|Execute|Fingerprint|LargeChainBoundedAlloc' \
 		./internal/server/ ./internal/telemetry/ ./internal/snapshot/

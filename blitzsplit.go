@@ -87,7 +87,9 @@ func ParseEnumerator(name string) (Enumerator, error) { return core.ParseEnumera
 var ErrEnumeratorUnsupported = core.ErrEnumeratorUnsupported
 
 // Database is a synthesized in-memory instance that optimized plans can be
-// executed against.
+// executed against. Its Release method hands the data back for reuse by a
+// later Synthesize once nothing will execute against it again; executing a
+// released Database is an error.
 type Database = engine.Instance
 
 // ErrNoPlan is returned when every plan exceeds the overflow cost limit.

@@ -226,7 +226,8 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 		e.scratch.Put(sc)
 		return nil, &QuarantineError{Strikes: strikes}
 	}
-	if ent, ok := e.cache.GetBytes(sc.key); ok && rederive(sc, ent, cfg.opts.Model) {
+	ent, hit := e.cache.GetBytes(sc.key)
+	if hit && rederive(sc, ent, cfg.opts.Model) {
 		// The hit path runs entirely out of scratch: the plan the cache
 		// built for this hit (one slab allocation), annotated and relabeled
 		// in place, is the only state that outlives it. The outcome is a
@@ -242,6 +243,10 @@ func (e *Engine) optimizeQuery(cq core.Query, cfg config, names []string) (*Resu
 		}
 		e.scratch.Put(sc)
 		return cfg.finish(&o, names, cq), nil
+	}
+	if hit {
+		// A refused hit runs cold below, so it counts as a miss.
+		e.cache.Refuse(sc.key)
 	}
 	// Miss: materialize the canonical result off the scratch before releasing
 	// it — the cold run below may run for seconds and must not pin (or race

@@ -90,12 +90,7 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 	if err != nil {
 		return nil, err
 	}
-	// The plan-cache key ties execution failures to the same shape the
-	// optimizer's quarantine uses, and names the entry a replan downranks.
-	// Best-effort: empty on error or when the engine has no cache.
-	bkey, _, _ := e.PlanKey(q, options...)
-	key := string(bkey)
-	er, err := e.executePlan(ctx, q, db, res, eo, alg, key, options)
+	er, err := e.executePlan(ctx, q, db, res, eo, alg, options)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +106,7 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 		// A replan means the plan's estimates misled execution; if that plan
 		// came out of the cache, demote the entry so byte pressure evicts it
 		// before still-accurate plans.
-		if replanned && res.Cached && key != "" && e.cache.Downrank(key) {
+		if replanned && res.Cached && e.cache.Downrank(e.cacheKey(q, options)) {
 			e.downranks.Add(1)
 			er.Downranked = true
 		}
@@ -119,11 +114,20 @@ func (e *Engine) OptimizeAndExecute(ctx context.Context, q *Query, db *Database,
 	return er, nil
 }
 
+// cacheKey is q's plan-cache key: it ties an execution panic to the shape
+// the optimizer's quarantine strikes, and names the entry a replan
+// downranks. It canonicalizes q again, so only those two rare paths call
+// it. Best-effort: empty on error or when the engine has no cache.
+func (e *Engine) cacheKey(q *Query, options []Option) string {
+	key, _, _ := e.PlanKey(q, options...)
+	return string(key)
+}
+
 // executePlan runs the optimized plan under the engine's panic boundary.
-func (e *Engine) executePlan(ctx context.Context, q *Query, db *Database, res *Result, eo ExecuteOptions, alg exec.Algorithm, key string, options []Option) (er *ExecuteResult, err error) {
+func (e *Engine) executePlan(ctx context.Context, q *Query, db *Database, res *Result, eo ExecuteOptions, alg exec.Algorithm, options []Option) (er *ExecuteResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			er, err = nil, e.recordPanic(v, key)
+			er, err = nil, e.recordPanic(v, e.cacheKey(q, options))
 		}
 	}()
 	xopts := exec.Options{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blitzsplit/internal/check"
+	"blitzsplit/internal/engine"
 	"blitzsplit/internal/faultinject"
 )
 
@@ -218,5 +219,34 @@ func TestPackageExecuteVectorized(t *testing.T) {
 	}
 	if int64(got) != want {
 		t.Errorf("Execute = %d, CountRows = %d", got, want)
+	}
+}
+
+// TestDatabaseRelease: a released Database answers errors, not rows, from
+// Execute and from OptimizeAndExecute under both drivers, and a second
+// Release does nothing.
+func TestDatabaseRelease(t *testing.T) {
+	q := execChainQuery(t, 4, 80)
+	db, err := q.Synthesize(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(db, res.Plan); err != nil {
+		t.Fatal(err)
+	}
+	db.Release()
+	db.Release()
+	if rows, err := Execute(db, res.Plan); !errors.Is(err, engine.ErrReleased) || rows != 0 {
+		t.Errorf("Execute on a released database = %d, %v; want 0, ErrReleased", rows, err)
+	}
+	eng := New(EngineOptions{})
+	for _, adaptive := range []bool{false, true} {
+		if er, err := eng.OptimizeAndExecute(nil, q, db, ExecuteOptions{Adaptive: adaptive}); !errors.Is(err, engine.ErrReleased) || er != nil {
+			t.Errorf("OptimizeAndExecute (adaptive %v) on a released database = %+v, %v; want ErrReleased", adaptive, er, err)
+		}
 	}
 }

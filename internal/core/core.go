@@ -68,8 +68,11 @@ type Options struct {
 	// CostThreshold enables §6.4 plan-cost-threshold pruning when > 0: any
 	// relation set whose split-independent cost already exceeds the threshold
 	// has its best-split search skipped wholesale (under κsm, any set but the
-	// full one whose memo exceeds it), and any plan costlier than the
-	// threshold is rejected. If optimization fails at the current
+	// full one whose memo exceeds it), and any plan costing at or above the
+	// threshold is rejected, so a threshold equal to the optimum's cost
+	// fails its pass. (The split loop compares operand costs plus κ″ with
+	// threshold − κ′; rounding in that difference can, rarely, admit a plan
+	// costing exactly the threshold.) If optimization fails at the current
 	// threshold, it is retried with the threshold multiplied by
 	// thresholdGrowth, up to maxPasses passes. 0 disables thresholding.
 	CostThreshold float64

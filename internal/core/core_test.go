@@ -439,6 +439,39 @@ func TestThresholdSinglePassWhenGenerous(t *testing.T) {
 	}
 }
 
+// TestThresholdRejectsItsOwnCost pins the strict §6.4 bound: a pass rejects
+// a plan costing exactly the threshold, so a threshold equal to the optimum
+// fails its first pass, and the next float64 above it admits the optimum in
+// one pass with the same cost bits.
+func TestThresholdRejectsItsOwnCost(t *testing.T) {
+	n := 8
+	cards := joingraph.CardinalityLadder(n, 1000, 0.5)
+	g := joingraph.Build(joingraph.ChainEdges(joingraph.AppendixChainOrder(n)), cards)
+	q := Query{Cards: cards, Graph: g}
+	base, err := Optimize(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		threshold float64
+		passes    int
+	}{
+		{base.Cost, 2},
+		{math.Nextafter(base.Cost, math.Inf(1)), 1},
+	} {
+		th, err := Optimize(q, Options{CostThreshold: c.threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if th.Counters.Passes != c.passes {
+			t.Errorf("threshold %v (optimum %v): Passes = %d, want %d", c.threshold, base.Cost, th.Counters.Passes, c.passes)
+		}
+		if math.Float64bits(th.Cost) != math.Float64bits(base.Cost) {
+			t.Errorf("threshold %v: cost %v, want %v bit for bit", c.threshold, th.Cost, base.Cost)
+		}
+	}
+}
+
 // TestOverflowNoPlan: costs beyond the overflow limit on every plan yield
 // ErrNoPlan, mirroring §6.3's summary rejection.
 func TestOverflowNoPlan(t *testing.T) {

@@ -16,6 +16,11 @@
 // key column is drawn in one pass that computes Int63n's rejection bound once
 // per column, so its values, and the generator's position after it, are
 // exactly those of calling rand.Int63n once per value.
+//
+// All of an instance's key columns are views of one slab. Release hands the
+// slab back to a small free list that the next synthesis draws from, so a
+// server that releases each request's instance stops allocating key columns
+// once the list is warm.
 package engine
 
 import (
@@ -24,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 
+	"blitzsplit/internal/freelist"
 	"blitzsplit/internal/joingraph"
 )
 
@@ -75,6 +81,66 @@ type Instance struct {
 	Relations []*Relation
 	// Graph is the join graph the instance was synthesized for.
 	Graph *joingraph.Graph
+	// slab backs every synthesized key column; released marks an instance
+	// whose slab went back to the free list.
+	slab     []int64
+	released bool
+}
+
+// ErrReleased is returned by the executor for an instance after Release.
+var ErrReleased = errors.New("engine: instance was released")
+
+// Release hands the instance's key columns back for reuse by a later
+// synthesis and empties every relation's column map, so no view of the
+// reused memory survives. The instance must not be in use: nothing may read
+// its columns during or after the call, and the executor refuses it with
+// ErrReleased. A second Release does nothing. An instance that is never
+// released leaves its columns to the garbage collector.
+func (inst *Instance) Release() {
+	if inst.released {
+		return
+	}
+	inst.released = true
+	for _, rel := range inst.Relations {
+		clear(rel.Cols)
+	}
+	putSlab(inst.slab)
+	inst.slab = nil
+}
+
+// Released reports whether Release was called.
+func (inst *Instance) Released() bool { return inst.released }
+
+// maxSlabLen bounds a slab the free list keeps: 8 MiB of keys. A larger
+// instance allocates its own slab and leaves it to the garbage collector.
+const maxSlabLen = 8 << 20 / 8
+
+// slabs is the free list of key-column slabs.
+var slabs freelist.List[[]int64]
+
+// getSlab returns a slab of length n, reusing a free one when it is large
+// enough and replacing it with one of length n when it is not, so each slab
+// grows to the largest instance it has served. Every value is overwritten by
+// the caller.
+func getSlab(n int) []int64 {
+	if n == 0 {
+		return nil
+	}
+	var s []int64
+	if n <= maxSlabLen {
+		s, _ = slabs.Get()
+	}
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	return s[:n]
+}
+
+// putSlab returns a slab to the free list unless it is over maxSlabLen.
+func putSlab(s []int64) {
+	if cap(s) > 0 && cap(s) <= maxSlabLen {
+		slabs.Put(s)
+	}
 }
 
 // Synthesize builds a database instance for the given base cardinalities and
@@ -86,7 +152,7 @@ type Instance struct {
 // most math.MaxInt64. The edges are drawn in graph order, relation i before
 // j, each value equal to what rand.Int63n would return at that point of the
 // seeded stream. There is no other column: a relation without predicates has
-// rows but no columns.
+// rows but no columns. The columns share one slab; see Instance.Release.
 func Synthesize(cards []float64, g *joingraph.Graph, seed int64) (*Instance, error) {
 	return SynthesizeRand(cards, g, rand.New(rand.NewSource(seed)))
 }
@@ -110,17 +176,27 @@ func SynthesizeRand(cards []float64, g *joingraph.Graph, rng *rand.Rand) (*Insta
 		}
 		inst.Relations[i] = NewRelation(fmt.Sprintf("R%d", i), rows)
 	}
-	if g != nil {
-		for _, e := range g.Edges() {
-			domain := keyDomain(e.Selectivity)
-			col := JoinColumn(e.A, e.B)
-			for _, ri := range []int{e.A, e.B} {
-				rel := inst.Relations[ri]
-				vals := make([]int64, rel.Rows())
-				fillInt63n(rng, vals, domain)
-				if err := rel.AddCol(col, vals); err != nil {
-					return nil, err
-				}
+	if g == nil {
+		return inst, nil
+	}
+	keys := 0
+	for _, e := range g.Edges() {
+		keys += inst.Relations[e.A].Rows() + inst.Relations[e.B].Rows()
+	}
+	inst.slab = getSlab(keys)
+	free := inst.slab
+	for _, e := range g.Edges() {
+		domain := keyDomain(e.Selectivity)
+		col := JoinColumn(e.A, e.B)
+		for _, ri := range [2]int{e.A, e.B} {
+			rel := inst.Relations[ri]
+			n := rel.Rows()
+			vals := free[:n:n]
+			free = free[n:]
+			fillInt63n(rng, vals, domain)
+			if err := rel.AddCol(col, vals); err != nil {
+				inst.Release()
+				return nil, err
 			}
 		}
 	}

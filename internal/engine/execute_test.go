@@ -3,10 +3,13 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/check"
+	"blitzsplit/internal/core"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/exec"
 	"blitzsplit/internal/joingraph"
@@ -198,4 +201,100 @@ func TestEmptyRelation(t *testing.T) {
 	if n := countAll(t, inst, twoWayPlan(cards)); n != 0 {
 		t.Errorf("empty join size = %d", n)
 	}
+}
+
+// TestReleaseReuseConcurrent: goroutines that synthesize, execute (Run,
+// then RunAdaptive) and release instances of different shapes at once,
+// through both free lists (key-column slabs and executors), never see each
+// other's data. Every run counts the rows check.CountRows counts on an
+// instance of the same shape and seed that was never released.
+func TestReleaseReuseConcurrent(t *testing.T) {
+	type shape struct {
+		cards []float64
+		g     *joingraph.Graph
+		seed  int64
+		plans []*plan.Node
+		want  int64
+	}
+	rng := rand.New(rand.NewSource(5))
+	var shapes []shape
+	for k := 0; k < 6; k++ {
+		// Key–foreign-key chains of 3–7 relations, one closed into a cycle
+		// whose last join applies two predicates, and a star of 4 small
+		// relations: check.CountRows adds a star's spokes before its hub,
+		// so its states multiply with every spoke.
+		n, lo, span, star := 3+k, 100, 900, false
+		if k == 5 {
+			n, lo, span, star = 4, 20, 60, true
+		}
+		cards := make([]float64, n)
+		for i := range cards {
+			cards[i] = float64(lo + rng.Intn(span))
+		}
+		g := joingraph.New(n)
+		for j := 1; j < n; j++ {
+			a := j - 1
+			if star {
+				a = 0
+			}
+			g.MustAddEdge(a, j, 1/math.Max(cards[a], cards[j]))
+		}
+		if k == 3 {
+			g.MustAddEdge(0, n-1, 0.01)
+		}
+		s := shape{cards: cards, g: g, seed: int64(100 + k)}
+		for _, leftDeep := range []bool{false, true} {
+			opt, err := core.Optimize(core.Query{Cards: cards, Graph: g}, core.Options{LeftDeep: leftDeep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.plans = append(s.plans, opt.Plan)
+		}
+		inst, err := engine.Synthesize(cards, g, s.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.want, err = check.CountRows(inst); err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, s)
+	}
+	const workers, rounds = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				s := shapes[(w+r)%len(shapes)]
+				inst, err := engine.Synthesize(s.cards, s.g, s.seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Each instance runs twice, so a run that wrote into the
+				// instance's columns shows in the second count.
+				p := s.plans[r%len(s.plans)]
+				opts := exec.Options{Algorithm: algorithms[r%2]}
+				var res [2]*exec.Result
+				res[0], err = exec.Run(inst, p, opts)
+				if err == nil {
+					res[1], err = exec.RunAdaptive(inst, p, opts, nil)
+				}
+				inst.Release()
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				for _, got := range res {
+					if got.Rows != s.want {
+						t.Errorf("worker %d round %d: %d-relation shape counted %d rows, the never-released instance has %d",
+							w, r, len(s.cards), got.Rows, s.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -89,30 +89,86 @@ func keyDigest(inst *Instance) uint64 {
 // callers that keep drawing from it (testutil generators, fuzz harnesses)
 // see the same stream. The digests were recorded from a synthesis that
 // called rng.Int63n once per value; any change to the draw sequence fails
-// here.
+// here. Each case is synthesized twice: into a fresh slab, and into the
+// reused slab of a larger instance released just before, whose stale keys
+// must all be overwritten.
 func TestSynthesizeGolden(t *testing.T) {
+	bigG := joingraph.New(2)
+	bigG.MustAddEdge(0, 1, 1.0/3)
 	for _, c := range goldenCases() {
 		g := c.graph(t)
-		rng := rand.New(rand.NewSource(c.seed))
-		inst, err := SynthesizeRand(c.cards, g, rng)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		got, next := keyDigest(inst), rng.Int63()
-		if got != c.digest {
-			t.Errorf("%s: key digest %#x, want %#x", c.name, got, c.digest)
-		}
-		if next != c.next {
-			t.Errorf("%s: generator's next Int63 is %d, want %d", c.name, next, c.next)
-		}
-		inst2, err := Synthesize(c.cards, g, c.seed)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if d := keyDigest(inst2); d != got {
-			t.Errorf("%s: Synthesize digest %#x, SynthesizeRand %#x", c.name, d, got)
+		for _, reuse := range []bool{false, true} {
+			var stale *int64
+			if reuse {
+				big, err := Synthesize([]float64{100_000, 100_000}, bigG, c.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stale = &big.slab[0]
+				big.Release()
+			}
+			rng := rand.New(rand.NewSource(c.seed))
+			inst, err := SynthesizeRand(c.cards, g, rng)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if reuse && &inst.slab[0] != stale {
+				t.Fatalf("%s: synthesis after a release did not reuse the released slab", c.name)
+			}
+			got, next := keyDigest(inst), rng.Int63()
+			if got != c.digest {
+				t.Errorf("%s (reuse %v): key digest %#x, want %#x", c.name, reuse, got, c.digest)
+			}
+			if next != c.next {
+				t.Errorf("%s (reuse %v): generator's next Int63 is %d, want %d", c.name, reuse, next, c.next)
+			}
+			inst2, err := Synthesize(c.cards, g, c.seed)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if d := keyDigest(inst2); d != got {
+				t.Errorf("%s (reuse %v): Synthesize digest %#x, SynthesizeRand %#x", c.name, reuse, d, got)
+			}
+			inst.Release()
+			inst2.Release()
 		}
 	}
+}
+
+// TestReleaseTwice: a second Release hands nothing back, so two later
+// instances never share a slab; a released instance keeps its row counts
+// but no columns.
+func TestReleaseTwice(t *testing.T) {
+	g := joingraph.New(2)
+	g.MustAddEdge(0, 1, 0.01)
+	cards := []float64{500, 400}
+	inst, err := Synthesize(cards, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Release()
+	inst.Release()
+	if !inst.Released() {
+		t.Fatal("Released() is false after Release")
+	}
+	for i, rel := range inst.Relations {
+		if len(rel.Cols) != 0 || rel.Rows() != int(cards[i]) {
+			t.Errorf("released R%d: %d columns, %d rows", i, len(rel.Cols), rel.Rows())
+		}
+	}
+	a, err := Synthesize(cards, g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Synthesize(cards, g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.slab[0] == &b.slab[0] {
+		t.Fatal("two live instances share one slab after a double Release")
+	}
+	a.Release()
+	b.Release()
 }
 
 // TestKeyDomain: the domain is round(1/s) wherever that fits an int64 and

@@ -84,6 +84,7 @@ func RunAdaptive(inst *engine.Instance, p *plan.Node, opts Options, reopt ReoptF
 	if err != nil {
 		return nil, err
 	}
+	defer x.release()
 	start := time.Now()
 	d := &driver{x: x, reopt: reopt, avail: make(map[bitset.Set]*table)}
 	cur := p

@@ -7,6 +7,13 @@
 // carries only its live join keys, the columns a predicate above it still
 // reads, so the root carries none and only its row count leaves.
 //
+// An execution's scratch (hash table, hash and selection buffers, match
+// vectors) comes from a small free list of executors and goes back to it
+// when the run ends, so a server running one plan after another stops
+// allocating it once the list is warm. A join gathers its output into
+// columns of results the run has already joined, so a run allocates only
+// the columns it holds at once, and no gathered column outlives its run.
+//
 // The package has two drivers. Run executes a plan statically. RunAdaptive
 // (adaptive.go) executes bottom-up while comparing observed intermediate
 // cardinalities against the plan's estimates; when an estimate is off by more
@@ -28,6 +35,7 @@ import (
 	"blitzsplit/internal/bitset"
 	"blitzsplit/internal/engine"
 	"blitzsplit/internal/faultinject"
+	"blitzsplit/internal/freelist"
 	"blitzsplit/internal/plan"
 )
 
@@ -54,11 +62,13 @@ type colID struct {
 // carries only the set's live columns (executor.live): its width is the
 // number of predicates still to apply above it, not the number of columns
 // below it. Scans alias the instance's relation columns (zero copy); join
-// outputs own freshly gathered columns.
+// outputs gather into columns the run owns, which owned marks, and which
+// return to the executor once a join above has read them.
 type table struct {
-	ids  []colID
-	cols [][]int64
-	rows int
+	ids   []colID
+	cols  [][]int64
+	rows  int
+	owned bool
 }
 
 // column returns the identified column. A table holds a handful of live
@@ -166,7 +176,8 @@ type edgePred struct {
 
 // executor carries one execution's scratch: resolved edges, the predicate
 // slice, the hash table's slot heads and chains, hash and selection buffers,
-// and match-index vectors, all reused across join nodes.
+// and match-index vectors, all reused across join nodes and, through the
+// free list, across runs. Its spare gathered columns serve one run only.
 type executor struct {
 	inst    *engine.Instance
 	opts    Options
@@ -187,14 +198,29 @@ type executor struct {
 	sel   []int32
 	lidx  []int32
 	ridx  []int32
+	// spare holds gathered columns of results already joined, for the next
+	// gather to fill.
+	spare [][]int64
 	stats Stats
 }
 
-// newExecutor validates the inputs and resolves the graph's edges for one
-// execution of p.
+// maxExecutorBytes bounds the scratch an executor may keep on the free
+// list: one whose hash table and vectors grew past it (a run with a huge
+// intermediate) is dropped.
+const maxExecutorBytes = 8 << 20
+
+// executors is the free list of executors.
+var executors freelist.List[*executor]
+
+// newExecutor validates the inputs, takes an executor from the free list and
+// resolves the graph's edges for one execution of p. The caller hands the
+// executor back with release.
 func newExecutor(inst *engine.Instance, p *plan.Node, opts Options) (*executor, error) {
 	if inst == nil {
 		return nil, errors.New("exec: nil instance")
+	}
+	if inst.Released() {
+		return nil, engine.ErrReleased
 	}
 	if p == nil {
 		return nil, errors.New("exec: nil plan")
@@ -202,7 +228,12 @@ func newExecutor(inst *engine.Instance, p *plan.Node, opts Options) (*executor, 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	x := &executor{inst: inst, opts: opts, batch: opts.batchSize(), maxRows: opts.maxRows(), all: p.Set}
+	x, ok := executors.Get()
+	if !ok {
+		x = new(executor)
+	}
+	x.inst, x.opts, x.batch, x.maxRows, x.all = inst, opts, opts.batchSize(), opts.maxRows(), p.Set
+	x.edges, x.stats = x.edges[:0], Stats{}
 	if g := inst.Graph; g != nil {
 		for _, e := range g.Edges() {
 			col := engine.JoinColumn(e.A, e.B)
@@ -216,6 +247,22 @@ func newExecutor(inst *engine.Instance, p *plan.Node, opts Options) (*executor, 
 	}
 	faultinject.Inject(faultinject.ExecRun)
 	return x, nil
+}
+
+// release drops the executor's references to the run's data and its spare
+// columns, and returns it to the free list unless its scratch outgrew
+// maxExecutorBytes. Nothing of the run may be read afterwards.
+func (x *executor) release() {
+	x.inst = nil
+	clear(x.preds[:cap(x.preds)])
+	clear(x.bkeys[:cap(x.bkeys)])
+	clear(x.pkeys[:cap(x.pkeys)])
+	clear(x.spare)
+	x.spare = x.spare[:0]
+	if 4*(cap(x.heads)+cap(x.next)+cap(x.sel)+cap(x.lidx)+cap(x.ridx))+8*cap(x.hbuf) > maxExecutorBytes {
+		return
+	}
+	executors.Put(x)
 }
 
 func hasColumn(inst *engine.Instance, rel int, name string) bool {
@@ -234,6 +281,7 @@ func Run(inst *engine.Instance, p *plan.Node, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer x.release()
 	start := time.Now()
 	t, err := x.node(p)
 	if err != nil {
@@ -344,6 +392,8 @@ func (x *executor) join(p *plan.Node, left, right *table) (*table, error) {
 		return nil, err
 	}
 	out := x.gather(p, left, right)
+	x.recycle(left)
+	x.recycle(right)
 	x.stats.Joins++
 	x.stats.IntermediateRows += int64(out.rows)
 	x.record(kind, p, out, start, x.stats.Batches-batches)
@@ -401,7 +451,7 @@ func (x *executor) appendPair(l, r int32) error {
 
 // gather materializes p's output from the accumulated match-index vectors:
 // one tight gather loop per live column of p.Set, drawn from whichever child
-// holds it.
+// holds it, into a spare column.
 func (x *executor) gather(p *plan.Node, left, right *table) *table {
 	n := len(x.lidx)
 	ids := x.live(p.Set)
@@ -412,13 +462,37 @@ func (x *executor) gather(p *plan.Node, left, right *table) *table {
 			src, idx = left, x.lidx
 		}
 		vals := src.column(id)
-		dst := make([]int64, n)
+		dst := x.column(n)
 		for k, j := range idx {
 			dst[k] = vals[j]
 		}
 		cols[i] = dst
 	}
-	return &table{ids: ids, cols: cols, rows: n}
+	return &table{ids: ids, cols: cols, rows: n, owned: true}
+}
+
+// column returns a column of length n for gather to overwrite: the last
+// spare column, or a new one when that is too small.
+func (x *executor) column(n int) []int64 {
+	k := len(x.spare) - 1
+	if k < 0 {
+		return make([]int64, n)
+	}
+	c := x.spare[k]
+	x.spare[k] = nil
+	x.spare = x.spare[:k]
+	if cap(c) < n {
+		return make([]int64, n)
+	}
+	return c[:n]
+}
+
+// recycle hands a joined child's gathered columns to the spares. A scan's
+// columns are views of the instance and stay untouched.
+func (x *executor) recycle(t *table) {
+	if t.owned {
+		x.spare = append(x.spare, t.cols...)
+	}
 }
 
 // resize returns buf with length n, reallocating only when it is too small.

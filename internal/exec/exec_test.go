@@ -576,13 +576,45 @@ func TestSynthesizeAllocBytes(t *testing.T) {
 	t.Logf("Synthesize allocates %d bytes and %d objects per call", got, objects)
 }
 
+// TestSynthesizeReleaseAllocBytes gates the steady state of a caller that
+// releases each instance: the key columns come from the released slab, and
+// what is left is the instance's relations, column maps and names, and the
+// seeded generator.
+func TestSynthesizeReleaseAllocBytes(t *testing.T) {
+	cards, g := kfkShape(10)
+	const limit = 16_000
+	got, objects := allocBytes(t, 5, func() error {
+		inst, err := engine.Synthesize(cards, g, 42)
+		if err == nil {
+			inst.Release()
+		}
+		return err
+	})
+	if got > limit {
+		t.Fatalf("Synthesize plus Release allocates %d bytes per call, limit %d", got, limit)
+	}
+	t.Logf("Synthesize plus Release allocates %d bytes and %d objects per call", got, objects)
+}
+
+// dropExecutors empties the executor free list, so the next run starts
+// from fresh scratch.
+func dropExecutors() {
+	for {
+		if _, ok := executors.Get(); !ok {
+			return
+		}
+	}
+}
+
 // TestRunAllocBytes gates the bytes one Run allocates on a fixed 10-relation
-// key–foreign-key chain. Gathering every column of every relation below each
-// join took 8.8 MB here; carrying only live join keys takes 1.2 MB.
+// key–foreign-key chain when no executor is free to reuse. Gathering every
+// column of every relation below each join took 8.8 MB here; carrying only
+// live join keys takes 1.2 MB.
 func TestRunAllocBytes(t *testing.T) {
 	inst, p := kfkChain(t, 10)
 	const limit = 2_500_000
 	got, objects := allocBytes(t, 5, func() error {
+		dropExecutors()
 		_, err := Run(inst, p, Options{})
 		return err
 	})
@@ -590,4 +622,20 @@ func TestRunAllocBytes(t *testing.T) {
 		t.Fatalf("Run allocates %d bytes per call, limit %d", got, limit)
 	}
 	t.Logf("Run allocates %d bytes and %d objects per call", got, objects)
+}
+
+// TestRunReuseAllocBytes gates the same Run once an executor is free: its
+// hash table, buffers and match vectors are reused, and what is left is
+// mostly the gathered columns the run holds at once.
+func TestRunReuseAllocBytes(t *testing.T) {
+	inst, p := kfkChain(t, 10)
+	const limit = 400_000
+	got, objects := allocBytes(t, 5, func() error {
+		_, err := Run(inst, p, Options{})
+		return err
+	})
+	if got > limit {
+		t.Fatalf("a reused Run allocates %d bytes per call, limit %d", got, limit)
+	}
+	t.Logf("a reused Run allocates %d bytes and %d objects per call", got, objects)
 }

@@ -318,6 +318,16 @@ func (c *Cache) GetBytes(key []byte) (Entry, bool) {
 	return recordEntry(rec), true
 }
 
+// Refuse moves one lookup of key from the hits to the misses: the caller got
+// an entry from GetBytes but did not serve it.
+func (c *Cache) Refuse(key []byte) {
+	s := shardFor(c, key)
+	s.mu.Lock()
+	s.hits--
+	s.misses++
+	s.mu.Unlock()
+}
+
 // peek returns the record stored under key without touching recency order
 // or the hit/miss counters — a read with no serving side effects.
 func (c *Cache) peek(key []byte) (string, bool) {

@@ -98,6 +98,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, start tim
 		s.fail(w, http.StatusBadRequest, "synthesize: %v", err)
 		return
 	}
+	// Nothing in the response refers to the data, so its key columns go
+	// back for the next request's synthesis.
+	defer db.Release()
 	options := append(s.serveOptions(&req.OptimizeRequest), blitzsplit.WithTimeout(timeout))
 	er, err := s.eng.OptimizeAndExecute(r.Context(), q, db, blitzsplit.ExecuteOptions{
 		Algorithm:  req.Algorithm,

@@ -112,9 +112,12 @@ func WithParallelism(w int) Option {
 }
 
 // WithCostThreshold enables §6.4 plan-cost-threshold pruning: plans costing
-// more than threshold are summarily rejected, and optimization retries with
-// a 1000× larger threshold whenever a pass finds no plan. Queries with cheap
-// plans optimize faster; expensive ones pay for extra passes.
+// at or above threshold are summarily rejected, and optimization retries
+// with a 1000× larger threshold whenever a pass finds no plan. A threshold
+// equal to the optimum's cost therefore usually pays a second pass; to admit
+// a known cost in one pass, use the next float64 above it (math.Nextafter).
+// Queries with cheap plans optimize faster; expensive ones pay for extra
+// passes.
 func WithCostThreshold(threshold float64) Option {
 	return func(c *config) error {
 		if threshold <= 0 {

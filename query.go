@@ -196,7 +196,8 @@ func (e edgeSpec) pair() (int, int) {
 // Synthesize materializes an in-memory database instance matching the
 // query's cardinalities and selectivities (deterministically from seed), so
 // optimized plans can be executed and estimates compared against actual
-// result sizes.
+// result sizes. A caller that synthesizes one database per request can
+// defer db.Release() to reuse the memory.
 func (q *Query) Synthesize(seed int64) (*Database, error) {
 	cq, err := q.build()
 	if err != nil {

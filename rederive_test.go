@@ -140,11 +140,17 @@ func TestEngineRefusesMismatchedHit(t *testing.T) {
 	if first.Cached || first.Cost != cold.Cost {
 		t.Fatalf("mismatched entry served: cached %v cost %v, want a cold run at %v", first.Cached, first.Cost, cold.Cost)
 	}
+	if st := dst.Stats().Cache; st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("after the refused hit: Hits %d Misses %d, want 0 and 1", st.Hits, st.Misses)
+	}
 	second, err := dst.Optimize(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.Cached || second.Cost != cold.Cost {
 		t.Fatalf("overwritten entry: cached %v cost %v, want a hit at %v", second.Cached, second.Cost, cold.Cost)
+	}
+	if st := dst.Stats().Cache; st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("after the next request: Hits %d Misses %d, want 1 and 1", st.Hits, st.Misses)
 	}
 }
